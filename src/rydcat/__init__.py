@@ -80,7 +80,6 @@ from .steady import (
 )
 from .thermal import (
     ThermalPairStats,
-    mode_loss_factor,
     predicted_power_law_coefficient,
     second_order_collective_overlap,
     second_order_large_n,
@@ -133,7 +132,6 @@ __all__ = [
     "medium_transmission",
     "min_pulse_duration",
     "mode_dressed_overlap",
-    "mode_loss_factor",
     "optimal_lambda",
     "output_amplitudes",
     "overlap_matrix",

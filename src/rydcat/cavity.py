@@ -195,17 +195,21 @@ def lambda_factor(params: CavityParams, branch: QubitBranch) -> float:
 
 
 def _response_denominator(
-    params: CavityParams, det: DetuningSet, branch: QubitBranch
+    gamma: float,
+    omega_c: float,
+    gamma_rg: float,
+    det: DetuningSet,
+    branch: QubitBranch,
 ) -> complex:
-    """Dressed atomic response denominator for one branch."""
+    """Dressed atomic response denominator of the medium for one branch."""
     delta_2 = det.delta_2(branch)
-    den = params.gamma - 1j * det.delta_s
+    den = gamma - 1j * det.delta_s
     if delta_2 is FAR_DETUNED:
         return den
-    two_photon = 2.0 * params.gamma_rg - 4j * delta_2
+    two_photon = 2.0 * gamma_rg - 4j * delta_2
     if two_photon == 0:
         raise NumericalError("two-photon denominator vanished")
-    return den + params.omega_c**2 / two_photon
+    return den + omega_c**2 / two_photon
 
 
 def effective_cooperativity(
@@ -217,7 +221,10 @@ def effective_cooperativity(
     atomic response of the transparent branch by the squared coupling
     strength, while the blockaded branch keeps the bare value.
     """
-    return params.cooperativity * params.gamma / _response_denominator(params, det, branch)
+    den = _response_denominator(
+        params.gamma, params.omega_c, params.gamma_rg, det, branch
+    )
+    return params.cooperativity * params.gamma / den
 
 
 def reflection_coefficient(

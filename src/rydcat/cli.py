@@ -29,8 +29,6 @@ from .overlap import Polarization, pair_overlap_projected
 from .roundtrip import convergence_study
 from .steady import solve_steady_state, spontaneous_amplitude
 
-_COMMANDS = ("amplitudes", "figure2", "figure3", "figure4", "headline", "xcheck", "mc")
-
 _POLARIZATIONS = {
     "circular": Polarization.circular,
     "linear_x": lambda: Polarization.linear((1.0, 0.0, 0.0)),
@@ -344,7 +342,8 @@ def cmd_mc(run: RunConfig, args) -> None:
     _emit(run, results=results)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """Return the top-level parser and the subparser of each command."""
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=_seed_value, default=0)
     common.add_argument("--out", default=None)
@@ -414,27 +413,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--isotropic", action="store_true")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_mc)
-    return parser
+    return parser, sub.choices
 
 
-def _allowed_options(parser: _Parser) -> dict[str, set[str]]:
-    allowed: dict[str, set[str]] = {}
-    choices = parser._subparsers._group_actions[0].choices
-    for name, sub in choices.items():
-        opts = set()
-        for action in sub._actions:
-            opts.update(action.option_strings)
-        allowed[name] = opts
-    return allowed
+def _apply_config(path: str, command: _Parser) -> None:
+    """Make the key=value lines of a config file the command's defaults.
 
-
-def _load_config_args(path: str, allowed: set[str]) -> list[str]:
-    """Turn a key=value config file into an argv fragment."""
+    Keys are long option names written with ``_``; a switch takes
+    ``true`` or ``false``.  The values are parsed by the command's own
+    parser first, because argparse checks neither types nor choices of
+    defaults.  Flags on the command line still win over the file.
+    """
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ParameterError(f"cannot read config file: {exc}") from exc
+    known = vars(command.parse_args([]))
     fragment: list[str] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -445,63 +440,26 @@ def _load_config_args(path: str, allowed: set[str]) -> list[str]:
                 f"{path}:{lineno}: expected key=value, got {line!r}"
             )
         key, value = (part.strip() for part in line.split("=", 1))
-        option = "--" + key.replace("_", "-")
-        if option == "--config" or option not in allowed:
+        dest = key.replace("-", "_")
+        # ``func`` is the handler stored by set_defaults, not an option.
+        if dest in ("config", "func") or dest not in known:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        option = "--" + key.replace("_", "-")
         lowered = value.lower()
-        if lowered in ("true", "false"):
-            if lowered == "true":
-                fragment.append(option)
-            continue
-        fragment.extend([option, value])
-    return fragment
-
-
-def _splice_config(argv: list[str], parser: _Parser) -> list[str]:
-    """Insert config-file options right after the subcommand.
-
-    Explicit command-line flags come later in argv, so they win over
-    the config file.
-    """
-    command_index = None
-    for i, token in enumerate(argv):
-        if token in _COMMANDS:
-            command_index = i
-            break
-    if command_index is None:
-        return argv
-    path = None
-    cleaned = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--config":
-            if i + 1 >= len(argv):
-                parser.error("argument --config: expected one argument")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            i += 1
-            continue
-        cleaned.append(token)
-        i += 1
-    if path is None:
-        return argv
-    command = argv[command_index]
-    fragment = _load_config_args(path, _allowed_options(parser)[command])
-    out_index = cleaned.index(command) + 1
-    return cleaned[:out_index] + fragment + cleaned[out_index:]
+        if lowered == "true":
+            fragment.append(option)
+        elif lowered != "false":
+            fragment.extend([option, value])
+    command.set_defaults(**vars(command.parse_args(fragment)))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    parser, commands = _build_parser()
     try:
-        argv = _splice_config(list(argv), parser)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config(args.config, commands[args.command])
+            args = parser.parse_args(argv)
         run = RunConfig(
             command=args.command, seed=args.seed, out=args.out, fmt=args.format
         )

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .catstate import CatState
 from .errors import ParameterError
@@ -81,9 +80,11 @@ def split_two_mode(state: np.ndarray, transmission: float) -> np.ndarray:
             step = math.sqrt((k + 1) * (total - k))
             gen[idx + 1, idx] = step
             gen[idx, idx + 1] = -step
-        block = expm(angle * gen)
+        # angle * gen is anti-Hermitian: exponentiate it in the
+        # eigenbasis of the Hermitian 1j * gen.
+        phases, vecs = np.linalg.eigh(1j * gen)
         amps = np.array([state[total - k, k] for k in range(k_lo, k_hi + 1)])
-        mixed = block @ amps
+        mixed = vecs @ (np.exp(-1j * angle * phases) * (vecs.conj().T @ amps))
         for idx in range(size):
             k = k_lo + idx
             out[total - k, k] = mixed[idx]

@@ -70,14 +70,13 @@ class Polarization:
 class AtomCloud:
     """Fixed atom positions and the incident wavevector.
 
-    ``sigmas`` and ``seed`` are optional provenance of a Gaussian draw;
-    they do not affect any computation.
+    ``sigmas`` is optional provenance of a Gaussian draw; it does not
+    affect any computation.
     """
 
     positions: np.ndarray
     k_in: np.ndarray
     sigmas: tuple[float, float, float] | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float)

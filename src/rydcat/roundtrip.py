@@ -125,24 +125,12 @@ class RoundTripParams:
             gamma_rg=cavity.gamma_rg,
         )
 
-    def _medium_params(self) -> CavityParams:
-        # Adapter so the shared response denominator can be reused.  The
-        # cavity rates are irrelevant for the susceptibility; only the
-        # medium fields matter.
-        return CavityParams(
-            eta_esc=1.0,
-            cooperativity=self.cooperativity,
-            gamma=self.gamma,
-            omega_c=self.omega_c,
-            gamma_rg=self.gamma_rg,
-        )
-
 
 def susceptibility(
     rt: RoundTripParams, det: DetuningSet, branch: QubitBranch
 ) -> complex:
     """Linear susceptibility of the intracavity medium."""
-    den = _response_denominator(rt._medium_params(), det, branch)
+    den = _response_denominator(rt.gamma, rt.omega_c, rt.gamma_rg, det, branch)
     return 1j * rt.chi0 * rt.gamma / den
 
 

@@ -32,9 +32,34 @@ class SteadyState:
     e_in: complex
 
 
-def _coupling(params: CavityParams) -> float:
+def _steady_system(
+    params: CavityParams, det: DetuningSet, branch: QubitBranch, e_in: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bulk equations ``matrix @ (e_cav, p_medium, s_spinwave) = rhs``.
+
+    On the blockaded branch the spin coherence is frozen out (its
+    two-photon detuning is effectively infinite): its coupling to the
+    polarization vanishes and its row pins it to zero.
+    """
     # Collective coupling rate fixed by the cooperativity.
-    return math.sqrt(params.cooperativity * params.kappa * params.gamma)
+    g = math.sqrt(params.cooperativity * params.kappa * params.gamma)
+    delta_2 = det.delta_2(branch)
+    if delta_2 is FAR_DETUNED:
+        half_omega = 0.0
+        spin_row = [0.0, 0.0, 1.0]
+    else:
+        half_omega = 0.5 * params.omega_c
+        spin_row = [0.0, -1j * half_omega, 0.5 * params.gamma_rg - 1j * delta_2]
+    matrix = np.array(
+        [
+            [params.kappa - 1j * det.delta_c, -1j * g, 0.0],
+            [-1j * g, params.gamma - 1j * det.delta_s, -1j * half_omega],
+            spin_row,
+        ],
+        dtype=complex,
+    )
+    rhs = np.array([math.sqrt(2.0 * params.kappa_in) * e_in, 0.0, 0.0], dtype=complex)
+    return matrix, rhs
 
 
 def solve_steady_state(
@@ -45,42 +70,14 @@ def solve_steady_state(
 ) -> SteadyState:
     """Solve the driven steady state for one qubit branch.
 
-    On the blockaded branch the spin coherence is frozen out (its
-    two-photon detuning is effectively infinite) and the system reduces
-    to field plus polarization.
+    On the blockaded branch the spin coherence is frozen out and the
+    system reduces to field plus polarization.
     """
-    g = _coupling(params)
-    drive = math.sqrt(2.0 * params.kappa_in) * e_in
-    delta_2 = det.delta_2(branch)
-    if delta_2 is FAR_DETUNED:
-        matrix = np.array(
-            [
-                [params.kappa - 1j * det.delta_c, -1j * g],
-                [-1j * g, params.gamma - 1j * det.delta_s],
-            ],
-            dtype=complex,
-        )
-        rhs = np.array([drive, 0.0], dtype=complex)
-        try:
-            e_cav, p_medium = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"steady-state system is singular: {exc}") from exc
-        s_spinwave = 0.0 + 0.0j
-    else:
-        half_omega = 0.5 * params.omega_c
-        matrix = np.array(
-            [
-                [params.kappa - 1j * det.delta_c, -1j * g, 0.0],
-                [-1j * g, params.gamma - 1j * det.delta_s, -1j * half_omega],
-                [0.0, -1j * half_omega, 0.5 * params.gamma_rg - 1j * delta_2],
-            ],
-            dtype=complex,
-        )
-        rhs = np.array([drive, 0.0, 0.0], dtype=complex)
-        try:
-            e_cav, p_medium, s_spinwave = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"steady-state system is singular: {exc}") from exc
+    matrix, rhs = _steady_system(params, det, branch, e_in)
+    try:
+        e_cav, p_medium, s_spinwave = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"steady-state system is singular: {exc}") from exc
     e_out = math.sqrt(2.0 * params.kappa_in) * e_cav - e_in
     e_mirror = math.sqrt(2.0 * params.kappa_hr) * e_cav
     return SteadyState(
@@ -106,26 +103,10 @@ def steady_residuals(
     itself) and the input-output boundary relation.  All should vanish
     for a valid solution.
     """
-    g = _coupling(params)
-    drive = math.sqrt(2.0 * params.kappa_in) * ss.e_in
-    delta_2 = det.delta_2(branch)
-    eq1 = (params.kappa - 1j * det.delta_c) * ss.e_cav - 1j * g * ss.p_medium - drive
-    eq2 = (
-        -1j * g * ss.e_cav
-        + (params.gamma - 1j * det.delta_s) * ss.p_medium
-        - 0.5j * params.omega_c * ss.s_spinwave
-    )
-    if delta_2 is FAR_DETUNED:
-        eq3 = ss.s_spinwave
-        # The polarization equation loses its spin term in the frozen limit.
-        eq2 = -1j * g * ss.e_cav + (params.gamma - 1j * det.delta_s) * ss.p_medium
-    else:
-        eq3 = (
-            -0.5j * params.omega_c * ss.p_medium
-            + (0.5 * params.gamma_rg - 1j * delta_2) * ss.s_spinwave
-        )
+    matrix, rhs = _steady_system(params, det, branch, ss.e_in)
+    bulk = matrix @ np.array([ss.e_cav, ss.p_medium, ss.s_spinwave]) - rhs
     boundary = ss.e_out - (math.sqrt(2.0 * params.kappa_in) * ss.e_cav - ss.e_in)
-    return np.array([abs(eq1), abs(eq2), abs(eq3), abs(boundary)])
+    return np.append(np.abs(bulk), abs(boundary))
 
 
 def spontaneous_amplitude(ss: SteadyState) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,39 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+# sha256 of the full stdout of each subcommand, captured before the
+# cavity, steady-state and config plumbing were folded; a refactor must
+# keep every byte.
+GOLDEN_SHA256 = {
+    ("amplitudes", "csv"): "e3f6d9bac34c166d39b4d11b3cf4be069ee31d5756c302bc4a6f7e02c1aa9e27",
+    ("amplitudes", "json"): "e1fc5978389c828059d33923933ac63cecd6b35824c8baa21b8dab598abce998",
+    ("figure2", "csv"): "9fa13b825e9b9a8e1e9d7882e14cba93df2ec234b783ba362d78587ebfcaf751",
+    ("figure2", "json"): "04c0693650a1704fbddb8cd651f848dc040477dcbed26e2e44a78b8e5f807159",
+    ("figure3", "csv"): "8916e2c2f44eadd9f2821cfd27cf4039c1dc5fbced6450f743ac5f74cca971a6",
+    ("figure3", "json"): "aab6df271886518d607cf148d4106379209f6e74ba4a046b2dd4a0a657e22ecf",
+    ("headline", "csv"): "12e965aa5893bcf1ce908b10b2e94ef834dee104ccd7aa24387de3ec1f69b605",
+    ("headline", "json"): "b4b52d79f0adcae2daa8f46e604795e592513401d2ad2ccb5ee7cee4e87ee7e4",
+    ("xcheck", "csv"): "dc41c0dad41f46e9d3933f4b83b714074a2acf6c229bba341eb641341685a117",
+    ("xcheck", "json"): "0d5606ce23c85001aff1452509a3e9e4c389d8c30f64bb4ef32a8b7b8049399b",
+    ("mc", "csv"): "767d31db66e47694ecb08577132311f5d1a421ddf07252d1cd01154dc993964e",
+    ("mc", "json"): "4d52796593007ea6c4bebadf2efad4c86c0798a09fa8e41505a50add081be5cb",
+    ("figure4", "csv"): "a531092778666cca473c5f68a9399aedd77232c54f3574827a6cc1838bc294df",
+    ("figure4", "json"): "77bca1da095fdafc7a98b243f69defcdb214825e0387573862ae3970204eaf58",
+}
+GOLDEN_ARGS = {
+    "mc": ("--n-atoms", "20", "--n-runs", "4"),
+    "figure4": ("--n-grid", "3:6", "--runs-budget", "200"),
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN_SHA256))
+def test_golden_output(capsys, command, fmt):
+    code, out = run_cli(capsys, command, *GOLDEN_ARGS.get(command, ()),
+                        "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command, fmt]
 
 
 class TestExitCodes:
@@ -190,6 +224,31 @@ class TestConfigFile:
     def test_missing_file_rejected(self, capsys, tmp_path):
         assert cli.main(["mc", "--config", str(tmp_path / "absent.conf")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "n_atoms = eight\n",
+        "polarization = sideways\n",
+        "isotropic = maybe\n",
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, text):
+        # argparse checks neither types nor choices of defaults, so the
+        # file's values must go through the parser before they become ones
+        path = self.write_config(tmp_path, text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mc", "--config", path])
+        assert exc.value.code == 1
+
+    def test_config_before_subcommand_is_usage_error(self, tmp_path):
+        path = self.write_config(tmp_path, "n_atoms = 8\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", path, "mc"])
+        assert exc.value.code == 1
+
+    def test_dashed_key_accepted(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, "n-atoms = 8\nn_runs = 4\n")
+        _, from_config = run_cli(capsys, "mc", "--config", path)
+        _, explicit = run_cli(capsys, "mc", "--n-atoms", "8", "--n-runs", "4")
+        assert from_config == explicit
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(
@@ -198,3 +257,14 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("key,value")
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only dependency; the package must not load it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rydcat, rydcat.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rydcat import (
+    FAR_DETUNED,
     CavityParams,
     DetuningSet,
     NumericalError,
@@ -108,3 +111,58 @@ def test_spontaneous_amplitude_rejects_energy_surplus():
                      e_out=1.0, e_mirror=0.5, e_in=1.0)
     with pytest.raises(NumericalError):
         spontaneous_amplitude(ss)
+
+
+def two_branch_reference(params, det, branch, e_in):
+    # The solve as it was written before both branches shared one 3x3
+    # system: a 2x2 field/polarization solve on the blockaded branch.
+    g = math.sqrt(params.cooperativity * params.kappa * params.gamma)
+    drive = math.sqrt(2.0 * params.kappa_in) * e_in
+    delta_2 = det.delta_2(branch)
+    if delta_2 is FAR_DETUNED:
+        matrix = np.array(
+            [
+                [params.kappa - 1j * det.delta_c, -1j * g],
+                [-1j * g, params.gamma - 1j * det.delta_s],
+            ],
+            dtype=complex,
+        )
+        e_cav, p_medium = np.linalg.solve(matrix, np.array([drive, 0.0], dtype=complex))
+        s_spinwave = 0.0 + 0.0j
+    else:
+        half_omega = 0.5 * params.omega_c
+        matrix = np.array(
+            [
+                [params.kappa - 1j * det.delta_c, -1j * g, 0.0],
+                [-1j * g, params.gamma - 1j * det.delta_s, -1j * half_omega],
+                [0.0, -1j * half_omega, 0.5 * params.gamma_rg - 1j * delta_2],
+            ],
+            dtype=complex,
+        )
+        rhs = np.array([drive, 0.0, 0.0], dtype=complex)
+        e_cav, p_medium, s_spinwave = np.linalg.solve(matrix, rhs)
+    e_out = math.sqrt(2.0 * params.kappa_in) * e_cav - e_in
+    e_mirror = math.sqrt(2.0 * params.kappa_hr) * e_cav
+    return np.array([e_cav, p_medium, s_spinwave, e_out, e_mirror], dtype=complex)
+
+
+def test_solve_bit_identical_to_two_branch_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        params = CavityParams.from_coupling_strength(
+            eta_esc=rng.uniform(0.3, 1.0),
+            cooperativity=rng.uniform(0.0, 60.0),
+            lambda_dn=rng.uniform(1.0, 100.0),
+            kappa=rng.uniform(0.2, 3.0),
+            gamma=rng.uniform(0.2, 3.0),
+            gamma_rg=rng.uniform(0.01, 3.0),
+        )
+        dc, ds, d2 = rng.uniform(-20.0, 20.0, 3)
+        det = DetuningSet(delta_c=dc, delta_s=ds, delta_2_dn=d2)
+        e_in = complex(rng.normal(), rng.normal())
+        for branch in QubitBranch:
+            ss = solve_steady_state(params, det, branch, e_in)
+            got = np.array([ss.e_cav, ss.p_medium, ss.s_spinwave, ss.e_out,
+                            ss.e_mirror], dtype=complex)
+            expect = two_branch_reference(params, det, branch, e_in)
+            assert got.tobytes() == expect.tobytes()

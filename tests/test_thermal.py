@@ -12,6 +12,7 @@ from rydcat import (
     thermal_average_s12,
     zeta_from_sigmas,
 )
+from rydcat.thermal import _i2
 
 from oracles import thermal_mean_quadrature, thermal_mean_sq_quadrature
 
@@ -130,3 +131,26 @@ def test_linear_polarization_moments_differ():
                                                  rel=1e-14)
     assert lin.low_density_rms == pytest.approx(math.sqrt(12.0 / 20.0) / 20.0,
                                                 rel=1e-14)
+
+
+def mpmath_i2(zetas):
+    # the closed form of the order-2 Gaussian average, at 60 digits
+    from mpmath import expm1, mp, mpf
+
+    mp.dps = 60
+    out = []
+    for zeta in zetas:
+        z = mpf(float(zeta))
+        damp = -expm1(-2 * z**2)
+        out.append(float(-3 / z**4 + damp / 2 * (1 / z**2 + 3 / z**4 + 3 / z**6)))
+    return np.array(out)
+
+
+def test_i2_against_high_precision():
+    # dense across the switch from the small-zeta series to the closed form
+    zetas = np.concatenate(
+        [np.geomspace(1e-4, 50.0, 300), np.linspace(0.5, 1.5, 101)]
+    )
+    expect = mpmath_i2(zetas)
+    got = np.array([_i2(float(zeta)) for zeta in zetas])
+    assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-12
