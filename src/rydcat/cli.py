@@ -56,6 +56,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _ConfigBeforeCommand(argparse.Action):
+    # --config is read by the chosen subcommand's parser, so it must
+    # follow the subcommand; without this, argparse would take the file
+    # name for the subcommand.
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(
+            "--config must follow the subcommand, e.g. rydcat mc --config FILE"
+        )
+
+
 def _seed_value(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
@@ -351,6 +361,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     common.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
     parser = _Parser(prog="rydcat", description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--config", action=_ConfigBeforeCommand, help=argparse.SUPPRESS
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("amplitudes", parents=[common])

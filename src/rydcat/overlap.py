@@ -117,17 +117,26 @@ class AtomCloud:
         sig = np.asarray(sigmas, dtype=float)
         if sig.shape != (3,) or np.any(sig <= 0.0):
             raise ParameterError("sigmas must be three positive lengths")
-        direction = np.asarray(direction, dtype=float)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
-            raise ParameterError("direction cannot be the zero vector")
-        k = 2.0 * np.pi / wavelength
-        positions = rng.normal(0.0, sig, size=(n_atoms, 3))
+        k_in = incident_wavevector(wavelength, direction)
+        # Standard normals scaled per axis: the same draws, bit for bit,
+        # as rng.normal(0.0, sig, size), and the form the Monte Carlo
+        # uses on its stacked clouds.
+        positions = rng.standard_normal((n_atoms, 3)) * sig
         return cls(
             positions=positions,
-            k_in=k * direction / norm,
+            k_in=k_in,
             sigmas=tuple(float(s) for s in sig),
         )
+
+
+def incident_wavevector(wavelength: float, direction) -> np.ndarray:
+    """Wavevector of a drive of ``wavelength`` travelling along ``direction``."""
+    direction = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(direction)
+    if norm == 0.0:
+        raise ParameterError("direction cannot be the zero vector")
+    k = 2.0 * np.pi / wavelength
+    return k * direction / norm
 
 
 def pair_overlap_projected(kx, projection):
@@ -182,23 +191,67 @@ class OverlapMatrix:
             raise ParameterError("overlap matrix diagonal is not 1")
 
 
-def overlap_matrix(cloud: AtomCloud, polarization: Polarization) -> OverlapMatrix:
-    """All pairwise overlaps of the cloud, at fixed positions."""
-    pos = cloud.positions
-    diffs = pos[:, None, :] - pos[None, :, :]
+def pair_overlaps(
+    positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray
+) -> np.ndarray:
+    """Overlaps of the atom pairs i < j of each cloud in a stack.
+
+    ``positions`` has shape (R, N, 3); the result has shape (R, P) with
+    P = N(N - 1)/2, pairs in ``np.triu_indices(N, 1)`` order.  The other
+    triangle of each matrix is the complex conjugate, so it is never
+    evaluated.  Every pair goes through the same elementwise arithmetic
+    whatever the stack, so a cloud's overlaps do not depend on R.
+    """
+    iu, ju = np.triu_indices(positions.shape[1], k=1)
+    diffs = np.take(positions, iu, axis=1) - np.take(positions, ju, axis=1)
     dist = np.linalg.norm(diffs, axis=-1)
     safe = np.where(dist == 0.0, 1.0, dist)
     # Magnitude of the separation direction projected on the Jones
     # vector.  Coincident pairs get an arbitrary value; the order-2
     # kernel vanishes there, so it never enters.
-    proj = np.abs(np.tensordot(diffs, polarization.jones, axes=(-1, 0))) / safe
-    kernel = j0_stable(cloud.wavenumber * dist) + legendre_p2(proj) * j2_stable(
-        cloud.wavenumber * dist
-    )
-    beta = np.tensordot(diffs, cloud.k_in, axes=(-1, 0))
-    s = np.exp(-1j * beta) * kernel
-    np.fill_diagonal(s, 1.0)
-    return OverlapMatrix(s=s)
+    proj = np.abs(_project(diffs, jones)) / safe
+    kx = float(np.linalg.norm(k_in)) * dist
+    kernel = j0_stable(kx) + legendre_p2(proj) * j2_stable(kx)
+    beta = _project(diffs, k_in)
+    return np.exp(-1j * beta) * kernel
+
+
+def _project(diffs: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    # Contract the last axis through BLAS's matrix-vector product.  numpy
+    # sends a single row to BLAS's dot product instead, which rounds
+    # differently, so a lone pair is evaluated twice and rounds like the
+    # pairs of any larger stack.
+    if diffs.shape[0] * diffs.shape[1] == 1:
+        twice = np.concatenate([diffs, diffs])
+        return np.tensordot(twice, vector, axes=(-1, 0))[:1]
+    return np.tensordot(diffs, vector, axes=(-1, 0))
+
+
+def hermitian_stack(pairs: np.ndarray, n_atoms: int) -> np.ndarray:
+    """The (R, N, N) overlap matrices of stacked pair overlaps.
+
+    Unit diagonal, ``pairs`` above it and their conjugates below.
+    """
+    iu, ju = np.triu_indices(n_atoms, k=1)
+    s = np.empty((pairs.shape[0], n_atoms, n_atoms), dtype=complex)
+    s[:, iu, ju] = pairs
+    s[:, ju, iu] = pairs.conj()
+    diag = np.arange(n_atoms)
+    s[:, diag, diag] = 1.0
+    return s
+
+
+def overlap_matrix(cloud: AtomCloud, polarization: Polarization) -> OverlapMatrix:
+    """All pairwise overlaps of the cloud, at fixed positions."""
+    pairs = pair_overlaps(cloud.positions[None], cloud.k_in, polarization.jones)
+    return OverlapMatrix(s=hermitian_stack(pairs, cloud.n_atoms)[0])
+
+
+def _check_overlap_magnitude(c: complex) -> None:
+    if abs(c) > 1.0 + 1e-9:
+        raise ParameterError(
+            f"collective overlap magnitude cannot exceed 1, got {c!r}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,42 +268,60 @@ class CollectiveOverlap:
     per_atom: np.ndarray | None = None
 
     def __post_init__(self):
-        if abs(self.c_up_dn) > 1.0 + 1e-9:
-            raise ParameterError(
-                f"collective overlap magnitude cannot exceed 1, got {self.c_up_dn!r}"
-            )
+        _check_overlap_magnitude(self.c_up_dn)
+
+
+def collective_stack(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce a stack of pairwise matrices to the branch overlaps.
+
+    ``s`` has shape (R, N, N); returns the overlaps ``c_up_dn`` (R,), the
+    mismatches ``b_up_dn = 1 - Re c`` (R,) and the punctured-mode
+    normalizations ``per_atom`` (R, N).  The transparent branch radiates
+    the fully symmetric collective mode.  In the blockaded branch the
+    excited atom drops out, and the blockade mixes the punctured modes
+    with equal weight; the reduction sums them without ever forming the
+    N x N x N intermediate.
+
+    Each member is reduced exactly as a lone matrix would be: the
+    scalar steps repeat, elementwise, what Python floats did per run
+    (``t0**2`` is libm ``pow``, and a complex over a real divides both
+    parts), so stacking never moves a bit.
+    """
+    r, n, _ = s.shape
+    row = s.sum(axis=2)
+    n_dn = s.reshape(r, n * n).sum(axis=1).real
+    if np.any(n_dn <= 0.0):
+        raise NumericalError("nonpositive normalization of the symmetric mode")
+    per_atom = n_dn[:, None] - 2.0 * row.real + 1.0
+    if np.any(per_atom <= 0.0):
+        raise NumericalError("nonpositive normalization of a punctured mode")
+    inv = 1.0 / np.sqrt(per_atom)
+    t0 = inv.sum(axis=1)
+    t1 = (inv * row).sum(axis=1)
+    t2 = (inv[:, None, :] @ s @ inv[:, :, None])[:, 0, 0].real
+    n_up = n_dn * np.float_power(t0, 2.0) - 2.0 * t0 * t1.real + t2
+    if np.any(n_up <= 0.0):
+        raise NumericalError("nonpositive normalization of the blockaded mode")
+    norm = np.sqrt(n_dn * n_up)
+    c = np.empty(r, dtype=complex)
+    c.real = (n_dn * t0 - t1.real) / norm
+    c.imag = (0.0 - t1.imag) / norm
+    over = np.abs(c) > 1.0 + 1e-9
+    if np.any(over):
+        _check_overlap_magnitude(complex(c[np.argmax(over)]))
+    return c, 1.0 - c.real, per_atom
 
 
 def collective_from_matrix(matrix: OverlapMatrix) -> CollectiveOverlap:
     """Reduce the pairwise matrix to the branch overlap.
 
-    The transparent branch radiates the fully symmetric collective
-    mode.  In the blockaded branch the excited atom drops out, and the
-    blockade mixes the punctured modes with equal weight; the reduction
-    below sums them without ever forming the N x N x N intermediate.
+    The one-matrix case of ``collective_stack``.
     """
-    s = matrix.s
-    n = s.shape[0]
-    if n < 2:
+    if matrix.n_atoms < 2:
         raise ParameterError("need at least two atoms")
-    row = s.sum(axis=1)
-    n_dn = float(s.sum().real)
-    if n_dn <= 0.0:
-        raise NumericalError("nonpositive normalization of the symmetric mode")
-    per_atom = n_dn - 2.0 * row.real + 1.0
-    if np.any(per_atom <= 0.0):
-        raise NumericalError("nonpositive normalization of a punctured mode")
-    inv = 1.0 / np.sqrt(per_atom)
-    t0 = float(inv.sum())
-    t1 = complex((inv * row).sum())
-    t2 = float((inv @ s @ inv).real)
-    n_up = n_dn * t0**2 - 2.0 * t0 * t1.real + t2
-    if n_up <= 0.0:
-        raise NumericalError("nonpositive normalization of the blockaded mode")
-    c = (n_dn * t0 - t1) / np.sqrt(n_dn * n_up)
-    c = complex(c)
+    c, b, per_atom = collective_stack(matrix.s[None])
     return CollectiveOverlap(
-        c_up_dn=c, b_up_dn=1.0 - c.real, per_atom=per_atom
+        c_up_dn=complex(c[0]), b_up_dn=float(b[0]), per_atom=per_atom[0]
     )
 
 
@@ -261,11 +332,17 @@ def collective_overlap(
     return collective_from_matrix(overlap_matrix(cloud, polarization))
 
 
+def pair_moments(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and mean squared magnitude of each row of an (R, P) stack."""
+    count = pairs.shape[1]
+    return pairs.sum(axis=1) / count, (np.abs(pairs) ** 2).sum(axis=1) / count
+
+
 def pair_statistics(matrix: OverlapMatrix) -> tuple[complex, float]:
     """Mean pair overlap and mean squared magnitude over distinct pairs."""
     n = matrix.n_atoms
     if n < 2:
         raise ParameterError("need at least two atoms")
     iu, ju = np.triu_indices(n, k=1)
-    vals = matrix.s[iu, ju]
-    return complex(vals.mean()), float(np.mean(np.abs(vals) ** 2))
+    mean, mean_sq = pair_moments(matrix.s[iu, ju][None])
+    return complex(mean[0]), float(mean_sq[0])

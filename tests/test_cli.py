@@ -237,11 +237,14 @@ class TestConfigFile:
             cli.main(["mc", "--config", path])
         assert exc.value.code == 1
 
-    def test_config_before_subcommand_is_usage_error(self, tmp_path):
+    def test_config_before_subcommand_is_usage_error(self, capsys, tmp_path):
         path = self.write_config(tmp_path, "n_atoms = 8\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--config", path, "mc"])
-        assert exc.value.code == 1
+        for argv in (["--config", path, "mc"], [f"--config={path}", "mc"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert "--config must follow the subcommand" in err
 
     def test_dashed_key_accepted(self, capsys, tmp_path):
         path = self.write_config(tmp_path, "n-atoms = 8\nn_runs = 4\n")

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import rydcat.montecarlo as montecarlo
 from rydcat import (
     MonteCarloConfig,
     ParameterError,
@@ -8,6 +11,8 @@ from rydcat import (
     power_law_study,
     run_monte_carlo,
 )
+from rydcat.bessel import j0_stable, j2_stable
+from rydcat.overlap import legendre_p2
 
 
 def small_config(**overrides):
@@ -149,3 +154,145 @@ class TestPowerLawStudy:
             power_law_study(cfg, n_grid=[1, 5])
         with pytest.raises(ParameterError):
             power_law_study(cfg, n_grid=[3, 4], runs_budget=0.0)
+
+
+# The per-run path as it was before runs were stacked: a fresh Philox
+# generator, one cloud and one full N x N matrix per run, reduced in
+# Python floats.  The stacked path must reproduce it bit for bit.
+def reference_run(config, key):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    direction = np.asarray(config.direction, dtype=float)
+    k_in = 2.0 * np.pi / config.wavelength * direction / np.linalg.norm(direction)
+    pos = rng.normal(0.0, np.asarray(config.effective_sigmas, dtype=float),
+                     size=(config.n_atoms, 3))
+    diffs = pos[:, None, :] - pos[None, :, :]
+    dist = np.linalg.norm(diffs, axis=-1)
+    safe = np.where(dist == 0.0, 1.0, dist)
+    proj = np.abs(np.tensordot(diffs, config.polarization.jones,
+                               axes=(-1, 0))) / safe
+    k = float(np.linalg.norm(k_in))
+    kernel = j0_stable(k * dist) + legendre_p2(proj) * j2_stable(k * dist)
+    s = np.exp(-1j * np.tensordot(diffs, k_in, axes=(-1, 0))) * kernel
+    np.fill_diagonal(s, 1.0)
+    row = s.sum(axis=1)
+    n_dn = float(s.sum().real)
+    inv = 1.0 / np.sqrt(n_dn - 2.0 * row.real + 1.0)
+    t0 = float(inv.sum())
+    t1 = complex((inv * row).sum())
+    t2 = float((inv @ s @ inv).real)
+    n_up = n_dn * t0**2 - 2.0 * t0 * t1.real + t2
+    c = complex((n_dn * t0 - t1) / np.sqrt(n_dn * n_up))
+    iu, ju = np.triu_indices(config.n_atoms, k=1)
+    vals = s[iu, ju]
+    return (1.0 - c.real, c, complex(vals.mean()),
+            float(np.mean(np.abs(vals) ** 2)), t0)
+
+
+def reference_runs(config, first_stream=0):
+    rows = [
+        reference_run(config, np.array([config.seed, first_stream + run],
+                                       dtype=np.uint64))
+        for run in range(config.n_runs)
+    ]
+    return (np.array([r[0] for r in rows]),
+            np.array([r[1] for r in rows], dtype=complex),
+            np.array([r[2] for r in rows], dtype=complex),
+            np.array([r[3] for r in rows]),
+            np.array([r[4] for r in rows]))
+
+
+def reference_power_law(config, n_grid, runs_budget):
+    b_mean, b_sem, runs = [], [], []
+    for n in n_grid:
+        n_runs = max(2, round(runs_budget / n**2))
+        b = reference_runs(replace(config, n_atoms=n, n_runs=n_runs),
+                           first_stream=n << 32)[0]
+        b_mean.append(b.mean())
+        b_sem.append(float(np.std(b, ddof=1) / np.sqrt(b.size)))
+        runs.append(n_runs)
+    n_arr = np.array(n_grid, dtype=float)
+    b_mean, b_sem = np.array(b_mean), np.array(b_sem)
+    design = n_arr**-3
+    weight = 1.0 / b_sem**2
+    gram = float(np.sum(weight * design**2))
+    return dict(
+        n_atoms=np.array(n_grid), b_mean=b_mean, b_sem=b_sem,
+        runs=np.array(runs, dtype=int),
+        c3=float(np.sum(weight * b_mean * design) / gram),
+        c3_err=float(np.sqrt(1.0 / gram)),
+        free_slope=float(np.polyfit(np.log(n_arr), np.log(b_mean), 1,
+                                    w=b_mean / b_sem)[0]),
+    )
+
+
+GEOMETRIES = {
+    "circular": {},
+    "isotropic": dict(isotropic=True),
+    "linear": dict(polarization=Polarization.linear((1.0, 0.0, 0.0))),
+    "oblique": dict(direction=(0.3, -0.5, 0.8),
+                    polarization=Polarization.linear((0.0, 1.0, 1.0))),
+}
+# Enough runs that the default chunk size splits N = 64 and N = 260.
+RUNS = {2: 9, 3: 9, 13: 9, 19: 9, 64: 40, 260: 3}
+
+
+@pytest.fixture(scope="module")
+def reference():
+    cache = {}
+
+    def get(geometry, n):
+        if (geometry, n) not in cache:
+            config = MonteCarloConfig(n_atoms=n, n_runs=RUNS[n], seed=5,
+                                      **GEOMETRIES[geometry])
+            cache[geometry, n] = reference_runs(config)[:4]
+        return cache[geometry, n]
+
+    return get
+
+
+@pytest.mark.parametrize("chunk_pairs", [1, montecarlo._CHUNK_PAIRS, 10**6])
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("n", sorted(RUNS))
+def test_runs_bit_identical_to_per_run_path(monkeypatch, reference,
+                                            chunk_pairs, geometry, n):
+    monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk_pairs)
+    for workers in (1, 2, 4):
+        res = run_monte_carlo(MonteCarloConfig(
+            n_atoms=n, n_runs=RUNS[n], seed=5, workers=workers,
+            **GEOMETRIES[geometry]))
+        got = (res.b, res.c_up_dn, res.s12, res.s12_sq)
+        for field, expect in zip(got, reference(geometry, n)):
+            assert field.tobytes() == expect.tobytes()
+
+
+@pytest.fixture(scope="module")
+def reference_scan():
+    # N = 3 at budget 2e4 holds runs 402, 1571, 2165 and 2219 of seed 0,
+    # where libm's t0**2 and t0*t0 round apart and move b.
+    config = MonteCarloConfig(seed=0)
+    return reference_power_law(config, [3, 4], 2e4), reference_runs(
+        replace(config, n_atoms=3, n_runs=2222), first_stream=3 << 32)
+
+
+def test_pow_sensitive_runs_are_covered(reference_scan):
+    # Python floats, as the per-run path squared them; numpy's ``**2``
+    # on an array is x*x.
+    t0 = reference_scan[1][4].tolist()
+    for run in (402, 1571, 2165, 2219):
+        assert t0[run] ** 2 != t0[run] * t0[run]
+
+
+@pytest.mark.parametrize("chunk_pairs, workers",
+                         [(1, 1), (montecarlo._CHUNK_PAIRS, 2), (10**6, 4)])
+def test_power_law_bit_identical_to_per_run_path(monkeypatch, reference_scan,
+                                                 chunk_pairs, workers):
+    monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk_pairs)
+    expect, runs = reference_scan
+    config = MonteCarloConfig(seed=0, workers=workers)
+    b = montecarlo._sample_runs(replace(config, n_atoms=3, n_runs=2222),
+                                first_stream=3 << 32)[0]
+    assert b.tobytes() == runs[0].tobytes()
+    study = power_law_study(config, n_grid=[3, 4], runs_budget=2e4)
+    for name, value in expect.items():
+        assert np.asarray(getattr(study, name)).tobytes() == \
+            np.asarray(value).tobytes(), name

@@ -20,6 +20,8 @@ from rydcat import (
     pair_statistics,
 )
 
+from rydcat.overlap import collective_stack
+
 from oracles import grid_collective_overlap, pair_overlap_quadrature
 
 
@@ -188,6 +190,44 @@ class TestCollectiveOverlap:
     def test_result_validation(self):
         with pytest.raises(ParameterError):
             CollectiveOverlap(c_up_dn=1.5 + 0.0j, b_up_dn=0.5)
+
+
+class TestCollectiveStack:
+    # A stacked reduction must fail on a bad member exactly as the
+    # one-matrix reduction fails on that member alone.
+    def good(self, seed):
+        cloud = AtomCloud.sample(3, (1.0, 1.0, 1.0), 0.78,
+                                 np.random.default_rng(seed))
+        return overlap_matrix(cloud, Polarization.circular()).s
+
+    def assert_same_failure(self, bad, error):
+        with pytest.raises(error) as alone:
+            collective_from_matrix(OverlapMatrix(s=bad))
+        stack = np.stack([self.good(1), bad, self.good(2)])
+        with pytest.raises(error) as stacked:
+            collective_stack(stack)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_punctured_mode_failure_matches_lone_member(self):
+        # the symmetric mode keeps norm 0.6; puncturing atom 2 leaves -0.4
+        bad = np.array([[1.0, -1.2, 0.0], [-1.2, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                       dtype=complex)
+        self.assert_same_failure(bad, NumericalError)
+
+    def test_magnitude_failure_matches_lone_member(self):
+        # all three normalizations positive, yet |c| = 1.0016
+        bad = np.array([[1.0, 0.0, 1.2], [0.0, 1.0, 1.3], [1.2, 1.3, 1.0]],
+                       dtype=complex)
+        self.assert_same_failure(bad, ParameterError)
+
+    def test_members_reduce_as_alone(self):
+        stack = np.stack([self.good(seed) for seed in range(4)])
+        c, b, per_atom = collective_stack(stack)
+        for i, s in enumerate(stack):
+            alone = collective_from_matrix(OverlapMatrix(s=s))
+            assert c[i] == alone.c_up_dn
+            assert b[i] == alone.b_up_dn
+            assert per_atom[i].tobytes() == alone.per_atom.tobytes()
 
 
 class TestPairStatistics:

@@ -1,0 +1,46 @@
+"""The benchmark's tracer must still find every layer it wraps.
+
+``perfbench/tracer.py`` patches rydcat functions by name; a rename in
+the package would silently leave a layer untraced.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _resolve(layer, attr):
+    obj = importlib.import_module(layer.module)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_tracer_layers_resolve_and_install(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    names = [(layer, attr) for layer in tracer.LAYERS for attr in layer.attrs]
+    originals = [_resolve(layer, attr) for layer, attr in names]
+    assert all(callable(obj) for obj in originals)
+
+    from rydcat import montecarlo
+
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        for layer, attr in names:
+            assert hasattr(_resolve(layer, attr), "__wrapped__"), attr
+        result = montecarlo.run_monte_carlo(
+            montecarlo.MonteCarloConfig(n_atoms=5, n_runs=3))
+    finally:
+        spans.uninstall()
+    summary = spans.take()
+    assert summary["montecarlo"]["calls"] == 1
+    assert summary["work"]["montecarlo.runs"] == 3
+    assert [_resolve(layer, attr) for layer, attr in names] == originals
+    untraced = montecarlo.run_monte_carlo(
+        montecarlo.MonteCarloConfig(n_atoms=5, n_runs=3))
+    assert np.array_equal(result.b, untraced.b)
