@@ -14,24 +14,52 @@ import numpy as np
 _TAYLOR_CUTOFF = 0.5
 
 
-def j0_stable(x):
-    """Spherical Bessel function of order 0, stable at small arguments.
+def j0_j2_stable(x):
+    """Spherical Bessel functions of orders 0 and 2, stable at small arguments.
 
-    Accepts scalars or arrays; returns the same shape.
+    Both orders share one ``sin`` and one ``cos`` per element, and the
+    Taylor series are evaluated only below the cutoff.  Accepts scalars
+    or arrays; returns a pair of the same shape.
     """
     arr = np.abs(np.asarray(x, dtype=float))
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     small = arr < _TAYLOR_CUTOFF
     safe = np.where(small, 1.0, arr)
-    x2 = arr * arr
-    series = 1.0 + x2 * (
-        -1.0 / 6.0
-        + x2 * (1.0 / 120.0 + x2 * (-1.0 / 5040.0 + x2 * (1.0 / 362880.0)))
-    )
-    closed = np.sin(safe) / safe
-    out = np.where(small, series, closed)
-    return float(out[0]) if scalar else out
+    s = np.sin(safe)
+    c = np.cos(safe)
+    j0 = s / safe
+    j2 = (3.0 / safe**3 - 1.0 / safe) * s - (3.0 / safe**2) * c
+    if small.any():
+        x_small = arr[small]
+        x2 = x_small * x_small
+        j0[small] = 1.0 + x2 * (
+            -1.0 / 6.0
+            + x2 * (1.0 / 120.0 + x2 * (-1.0 / 5040.0 + x2 * (1.0 / 362880.0)))
+        )
+        j2[small] = x2 * (
+            1.0 / 15.0
+            + x2
+            * (
+                -1.0 / 210.0
+                + x2
+                * (
+                    1.0 / 7560.0
+                    + x2 * (-1.0 / 498960.0 + x2 * (1.0 / 51891840.0))
+                )
+            )
+        )
+    if scalar:
+        return float(j0[0]), float(j2[0])
+    return j0, j2
+
+
+def j0_stable(x):
+    """Spherical Bessel function of order 0, stable at small arguments.
+
+    Accepts scalars or arrays; returns the same shape.
+    """
+    return j0_j2_stable(x)[0]
 
 
 def j2_stable(x):
@@ -39,26 +67,4 @@ def j2_stable(x):
 
     Accepts scalars or arrays; returns the same shape.
     """
-    arr = np.abs(np.asarray(x, dtype=float))
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    small = arr < _TAYLOR_CUTOFF
-    safe = np.where(small, 1.0, arr)
-    x2 = arr * arr
-    series = x2 * (
-        1.0 / 15.0
-        + x2
-        * (
-            -1.0 / 210.0
-            + x2
-            * (
-                1.0 / 7560.0
-                + x2 * (-1.0 / 498960.0 + x2 * (1.0 / 51891840.0))
-            )
-        )
-    )
-    s = np.sin(safe)
-    c = np.cos(safe)
-    closed = (3.0 / safe**3 - 1.0 / safe) * s - (3.0 / safe**2) * c
-    out = np.where(small, series, closed)
-    return float(out[0]) if scalar else out
+    return j0_j2_stable(x)[1]

@@ -35,6 +35,10 @@ _POLARIZATIONS = {
     "linear_y": lambda: Polarization.linear((0.0, 1.0, 0.0)),
     "linear_z": lambda: Polarization.linear((0.0, 0.0, 1.0)),
 }
+_WORKERS_HELP = (
+    "has no effect: checked (>= 1), but runs are evaluated in one thread "
+    "whatever its value or RYDCAT_WORKERS"
+)
 
 
 @dataclass(frozen=True)
@@ -396,7 +400,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "--polarization", choices=sorted(_POLARIZATIONS), default="circular"
     )
     p.add_argument("--isotropic", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--fit-out", default=None)
     p.set_defaults(func=cmd_figure4)
 
@@ -424,7 +428,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     p.add_argument("--n-runs", type=int, default=100)
     p.add_argument("--isotropic", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_mc)
     return parser, sub.choices
 

@@ -37,10 +37,11 @@ class MonteCarloConfig:
     """Cloud geometry and sampling plan.
 
     ``isotropic`` replaces the three widths by their geometric mean,
-    keeping the scaled cloud size fixed.  ``workers`` of None defers to
-    the RYDCAT_WORKERS environment variable, defaulting to 1.  Runs are
-    evaluated in one thread whatever its value: on two cores a thread
-    pool over the stacked chunks gained nothing.
+    keeping the scaled cloud size fixed.  ``workers`` does nothing: it
+    is validated (>= 1, or None to defer to the RYDCAT_WORKERS
+    environment variable, read by ``resolve_workers``), but runs are
+    evaluated in one thread whatever its value, since on two cores a
+    thread pool over the stacked chunks gained nothing.
     """
 
     n_atoms: int = 260

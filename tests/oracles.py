@@ -76,6 +76,30 @@ def pair_overlap_quadrature(x_i, x_j, k_in, jones) -> complex:
     return np.exp(-1j * np.dot(k_in, sep)) * kernel
 
 
+def pair_overlap_mpmath(x_i, x_j, k_in, jones, digits: int = 40):
+    """Pair overlap at ``digits`` significant digits, as an mpmath complex.
+
+    The float inputs are taken as exact.  The Bessel functions come from
+    mpmath's ``besselj`` and the drive phase from the pair's own
+    separation, so neither the closed forms nor the rank-1 phase enter.
+    """
+    from mpmath import besselj, exp, mp, mpc, mpf, pi, sqrt
+
+    with mp.workdps(digits):
+        sep = [mpf(float(a)) - mpf(float(b)) for a, b in zip(x_i, x_j)]
+        dist = sqrt(sum(s * s for s in sep))
+        if dist == 0:
+            return mpc(1)
+        k = [mpf(float(c)) for c in k_in]
+        proj = abs(sum(s * mpc(complex(e)) for s, e in zip(sep, jones))) / dist
+        x = sqrt(sum(c * c for c in k)) * dist
+        j0 = sqrt(pi / (2 * x)) * besselj(mpf(1) / 2, x)
+        j2 = sqrt(pi / (2 * x)) * besselj(mpf(5) / 2, x)
+        kernel = j0 + (mpf(3) / 2 * proj**2 - mpf(1) / 2) * j2
+        beta = sum(c * s for c, s in zip(k, sep))
+        return exp(mpc(0, -1) * beta) * kernel
+
+
 def _maxwell_weight(r: float, spread: float) -> float:
     return (
         np.sqrt(2.0 / np.pi) * r**2 * np.exp(-(r**2) / (2.0 * spread**2)) / spread**3

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from rydcat.bessel import j0_stable, j2_stable
+from rydcat.bessel import j0_j2_stable, j0_stable, j2_stable
 
 
 def mpmath_reference(order, xs):
@@ -76,3 +78,62 @@ class TestNumericsContract:
         with np.errstate(all="raise"):
             j0_stable(xs)
             j2_stable(xs)
+
+
+# j0_stable and j2_stable as each computed its own sin (and cos) and
+# blended series and closed form with np.where over the whole array.
+def separate_j0(x):
+    arr = np.atleast_1d(np.abs(np.asarray(x, dtype=float)))
+    small = arr < 0.5
+    safe = np.where(small, 1.0, arr)
+    x2 = arr * arr
+    series = 1.0 + x2 * (
+        -1.0 / 6.0
+        + x2 * (1.0 / 120.0 + x2 * (-1.0 / 5040.0 + x2 * (1.0 / 362880.0)))
+    )
+    return np.where(small, series, np.sin(safe) / safe)
+
+
+def separate_j2(x):
+    arr = np.atleast_1d(np.abs(np.asarray(x, dtype=float)))
+    small = arr < 0.5
+    safe = np.where(small, 1.0, arr)
+    x2 = arr * arr
+    series = x2 * (1.0 / 15.0 + x2 * (-1.0 / 210.0 + x2 * (
+        1.0 / 7560.0 + x2 * (-1.0 / 498960.0 + x2 * (1.0 / 51891840.0)))))
+    s = np.sin(safe)
+    c = np.cos(safe)
+    closed = (3.0 / safe**3 - 1.0 / safe) * s - (3.0 / safe**2) * c
+    return np.where(small, series, closed)
+
+
+class TestSharedSinCos:
+    GRID = np.concatenate([
+        [0.0, -0.0, 0.5, -0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+         0.25, -0.75, 3.0, -3.0],
+        np.geomspace(1e-9, 1e3, 4001),
+        -np.geomspace(1e-9, 1e3, 301),
+        np.random.default_rng(7).uniform(-80.0, 80.0, 4000),
+    ])
+
+    def test_arrays_bit_identical_to_separate_formulas(self):
+        j0, j2 = j0_j2_stable(self.GRID)
+        assert j0.tobytes() == separate_j0(self.GRID).tobytes()
+        assert j2.tobytes() == separate_j2(self.GRID).tobytes()
+        assert j0_stable(self.GRID).tobytes() == j0.tobytes()
+        assert j2_stable(self.GRID).tobytes() == j2.tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1e-9, 0.3, -0.3, 0.5, -0.7,
+                                   7.0, 1e3])
+    def test_scalars_bit_identical_to_separate_formulas(self, x):
+        j0, j2 = j0_j2_stable(x)
+        assert isinstance(j0, float) and isinstance(j2, float)
+        assert j0 == float(separate_j0(x)[0]) == j0_stable(x)
+        assert j2 == float(separate_j2(x)[0]) == j2_stable(x)
+        assert math.copysign(1.0, j2) == math.copysign(1.0, separate_j2(x)[0])
+
+    def test_shape_and_no_warnings(self):
+        xs = np.array([[0.0, 0.1], [1.0, 1e-12]])
+        with np.errstate(all="raise"):
+            j0, j2 = j0_j2_stable(xs)
+        assert j0.shape == j2.shape == (2, 2)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from rydcat import (
     CatState,
+    QubitBranch,
     CavityParams,
     ParameterError,
     apply_beam_splitter,
@@ -16,6 +17,7 @@ from rydcat import (
     loss_budget,
     max_photon_number,
     optimal_lambda,
+    output_amplitudes,
     sweep_loss_vs_coupling,
 )
 
@@ -239,3 +241,40 @@ class TestSweep:
     def test_rejects_grid_below_one(self):
         with pytest.raises(ParameterError):
             sweep_loss_vs_coupling(0.9825, 21.0, [0.5, 2.0])
+
+    @pytest.mark.parametrize("eta, coop, grid", [
+        (0.9825, 21.0, np.geomspace(1.0, 1000.0, 400)),
+        (0.7, 3.5, 1.0 + np.random.default_rng(5).exponential(20.0, 3000)),
+        (1.0, 0.6, np.array([1.0, 1.0 + 2e-16, 1.5, 1e6])),
+    ])
+    def test_bit_identical_to_per_point_budget(self, eta, coop, grid):
+        # The sweep as it was: one CavityParams, loss budget and pair of
+        # output amplitudes per grid point, in Python floats.
+        expect = {name: [] for name in ("l_a", "l_m", "l_gen", "a_up_over_in",
+                                        "a_dn_over_in")}
+        for lam in grid.tolist():
+            p = CavityParams.from_coupling_strength(eta, coop, lam)
+            budget = loss_budget(p)
+            expect["l_a"].append(budget.l_a)
+            expect["l_m"].append(budget.l_m)
+            expect["l_gen"].append(budget.l_gen)
+            expect["a_up_over_in"].append(
+                output_amplitudes(p, QubitBranch.UP, 1.0).a.real)
+            expect["a_dn_over_in"].append(
+                output_amplitudes(p, QubitBranch.DOWN, 1.0).a.real)
+        with np.errstate(all="raise"):
+            rows = sweep_loss_vs_coupling(eta, coop, grid)
+        assert rows["lambda_dn"].tobytes() == grid.tobytes()
+        for name, values in expect.items():
+            assert rows[name].tobytes() == np.array(values).tobytes(), name
+
+    @pytest.mark.parametrize("grid", [[2.0, np.inf], [2.0, 1e200]])
+    def test_unrepresentable_point_raises_as_its_budget(self, grid):
+        with pytest.raises(ParameterError, match="l_cav must be in"):
+            sweep_loss_vs_coupling(0.9825, 21.0, grid)
+
+    def test_rejects_nan_and_zero_cooperativity(self):
+        with pytest.raises(ParameterError):
+            sweep_loss_vs_coupling(0.9825, 21.0, [2.0, float("nan")])
+        with pytest.raises(ParameterError):
+            sweep_loss_vs_coupling(0.9825, 0.0, [2.0])

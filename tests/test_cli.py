@@ -16,7 +16,9 @@ def run_cli(capsys, *argv):
 
 # sha256 of the full stdout of each subcommand, captured before the
 # cavity, steady-state and config plumbing were folded; a refactor must
-# keep every byte.
+# keep every byte.  mc and figure4 were captured again when the drive
+# phase became rank 1, which moves their printed numbers by at most
+# 1e-13 and 3e-11 relative.
 GOLDEN_SHA256 = {
     ("amplitudes", "csv"): "e3f6d9bac34c166d39b4d11b3cf4be069ee31d5756c302bc4a6f7e02c1aa9e27",
     ("amplitudes", "json"): "e1fc5978389c828059d33923933ac63cecd6b35824c8baa21b8dab598abce998",
@@ -28,10 +30,10 @@ GOLDEN_SHA256 = {
     ("headline", "json"): "b4b52d79f0adcae2daa8f46e604795e592513401d2ad2ccb5ee7cee4e87ee7e4",
     ("xcheck", "csv"): "dc41c0dad41f46e9d3933f4b83b714074a2acf6c229bba341eb641341685a117",
     ("xcheck", "json"): "0d5606ce23c85001aff1452509a3e9e4c389d8c30f64bb4ef32a8b7b8049399b",
-    ("mc", "csv"): "767d31db66e47694ecb08577132311f5d1a421ddf07252d1cd01154dc993964e",
-    ("mc", "json"): "4d52796593007ea6c4bebadf2efad4c86c0798a09fa8e41505a50add081be5cb",
-    ("figure4", "csv"): "a531092778666cca473c5f68a9399aedd77232c54f3574827a6cc1838bc294df",
-    ("figure4", "json"): "77bca1da095fdafc7a98b243f69defcdb214825e0387573862ae3970204eaf58",
+    ("mc", "csv"): "69ffc08d905e5b3b79bc2eee8e370d5b018f15c3b1dbc769992a67d94db8d152",
+    ("mc", "json"): "1d6c2740620eb9615f8bd028f1bb1cca6e4e8297a0f1b9472e9bd828097c3ac7",
+    ("figure4", "csv"): "39430c9a92f93918b9b3e35d80d06f852f2abaa874087388c2e9da4a9550af22",
+    ("figure4", "json"): "a5c0e137e9e12b90c0cf021652491e836b0cf87610efeef1267195c0506e23ee",
 }
 GOLDEN_ARGS = {
     "mc": ("--n-atoms", "20", "--n-runs", "4"),

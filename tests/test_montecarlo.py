@@ -12,7 +12,7 @@ from rydcat import (
     run_monte_carlo,
 )
 from rydcat.bessel import j0_stable, j2_stable
-from rydcat.overlap import legendre_p2
+from rydcat.overlap import _drive_phase, legendre_p2, pair_overlaps
 
 
 def small_config(**overrides):
@@ -158,8 +158,12 @@ class TestPowerLawStudy:
 
 # The per-run path as it was before runs were stacked: a fresh Philox
 # generator, one cloud and one full N x N matrix per run, reduced in
-# Python floats.  The stacked path must reproduce it bit for bit.
-def reference_run(config, key):
+# Python floats.  The stacked path must reproduce it bit for bit.  Its
+# drive phase is rank 1, e_i conj(e_j) with e = exp(-i k.x) from the
+# package's compensated k.x, multiplied in the order pair_overlaps uses;
+# ``direct_phase`` instead forms exp(-i k.(x_i - x_j)) per pair, as the
+# kernel did before, which agrees to rounding only.
+def reference_matrix(config, key, direct_phase=False):
     rng = np.random.Generator(np.random.Philox(key=key))
     direction = np.asarray(config.direction, dtype=float)
     k_in = 2.0 * np.pi / config.wavelength * direction / np.linalg.norm(direction)
@@ -172,8 +176,21 @@ def reference_run(config, key):
                                axes=(-1, 0))) / safe
     k = float(np.linalg.norm(k_in))
     kernel = j0_stable(k * dist) + legendre_p2(proj) * j2_stable(k * dist)
-    s = np.exp(-1j * np.tensordot(diffs, k_in, axes=(-1, 0))) * kernel
+    if direct_phase:
+        s = np.exp(-1j * np.tensordot(diffs, k_in, axes=(-1, 0))) * kernel
+    else:
+        e = _drive_phase(pos, k_in)
+        s = e[:, None] * e.conj()[None, :] * kernel
+        # e_j conj(e_i) need not round to the conjugate of e_i conj(e_j);
+        # the kernel evaluates i < j and mirrors.
+        iu, ju = np.triu_indices(config.n_atoms, k=1)
+        s[ju, iu] = s[iu, ju].conj()
     np.fill_diagonal(s, 1.0)
+    return pos, k_in, s
+
+
+def reference_run(config, key):
+    s = reference_matrix(config, key)[2]
     row = s.sum(axis=1)
     n_dn = float(s.sum().real)
     inv = 1.0 / np.sqrt(n_dn - 2.0 * row.real + 1.0)
@@ -265,10 +282,23 @@ def test_runs_bit_identical_to_per_run_path(monkeypatch, reference,
             assert field.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("n", [2, 13, 260])
+def test_pairs_match_direct_phase(geometry, n):
+    config = MonteCarloConfig(n_atoms=n, n_runs=2, seed=5,
+                              **GEOMETRIES[geometry])
+    key = np.array([config.seed, 0], dtype=np.uint64)
+    pos, k_in, direct = reference_matrix(config, key, direct_phase=True)
+    pairs = pair_overlaps(pos[None], k_in, config.polarization.jones)[0]
+    iu, ju = np.triu_indices(n, k=1)
+    assert np.max(np.abs(pairs - direct[iu, ju])) <= 1e-13
+
+
 @pytest.fixture(scope="module")
 def reference_scan():
-    # N = 3 at budget 2e4 holds runs 402, 1571, 2165 and 2219 of seed 0,
-    # where libm's t0**2 and t0*t0 round apart and move b.
+    # N = 3 at budget 2e4 holds runs 402, 1571, 2165 and 2219 of seed 0
+    # (and 592 since the rank-1 phase), where libm's t0**2 and t0*t0
+    # round apart and move b.
     config = MonteCarloConfig(seed=0)
     return reference_power_law(config, [3, 4], 2e4), reference_runs(
         replace(config, n_atoms=3, n_runs=2222), first_stream=3 << 32)

@@ -20,9 +20,19 @@ from rydcat import (
     pair_statistics,
 )
 
-from rydcat.overlap import collective_stack
+from rydcat.bessel import _TAYLOR_CUTOFF
+from rydcat.overlap import (
+    collective_stack,
+    hermitian_stack,
+    incident_wavevector,
+    pair_overlaps,
+)
 
-from oracles import grid_collective_overlap, pair_overlap_quadrature
+from oracles import (
+    grid_collective_overlap,
+    pair_overlap_mpmath,
+    pair_overlap_quadrature,
+)
 
 
 def test_legendre_p2_values():
@@ -112,6 +122,64 @@ class TestAtomCloud:
         with pytest.raises(ParameterError):
             AtomCloud.sample(5, (1, 1, 1), 1.0, np.random.default_rng(0),
                              direction=(0, 0, 0))
+
+
+class TestPairOverlapsOracle:
+    # Pairs of a reference cloud (N = 260) against a 40-digit evaluation
+    # from each pair's own separation.  Atom 1 sits 1e-3 um from the
+    # atom with the largest drive phase k.x, where a rank-1 phase is
+    # hardest to get right, on the Taylor branch of the Bessel
+    # functions; atoms 2 and 3 coincide.
+    K_IN = incident_wavevector(0.78, (0.0, 0.0, -1.0))
+
+    def cloud(self):
+        rng = np.random.default_rng(2024)
+        pos = rng.standard_normal((260, 3)) * (3.3, 4.5, 1.7)
+        far = int(np.argmax(np.abs(pos @ self.K_IN)))
+        pos[[0, far]] = pos[[far, 0]]
+        pos[1] = pos[0] + (6e-4, -5e-4, 7e-4)
+        pos[3] = pos[2]
+        return rng, pos
+
+    def max_error(self, pos, picks):
+        jones = Polarization.circular().jones
+        iu, ju = np.triu_indices(pos.shape[0], k=1)
+        got = pair_overlaps(pos[None], self.K_IN, jones)[0]
+        assert np.linalg.norm(self.K_IN) * np.linalg.norm(pos[0] - pos[1]) \
+            < _TAYLOR_CUTOFF
+        coincident = iu.tolist().index(2)  # the pair (2, 3)
+        assert got[coincident] == pytest.approx(1.0, abs=1e-15)
+        from mpmath import mpc
+
+        return max(
+            float(abs(pair_overlap_mpmath(pos[iu[m]], pos[ju[m]], self.K_IN,
+                                          jones)
+                      - mpc(complex(got[m]))))
+            for m in np.concatenate([[0, coincident], picks])
+        )
+
+    def test_reference_cloud(self):
+        rng, pos = self.cloud()
+        assert abs(pos[0] @ self.K_IN) > 40.0
+        picks = rng.choice(260 * 259 // 2, size=1000, replace=False)
+        assert self.max_error(pos, picks) <= 1e-15
+
+    def test_cloud_far_from_origin(self):
+        rng, pos = self.cloud()
+        picks = rng.choice(260 * 259 // 2, size=200, replace=False)
+        assert self.max_error(pos + (60.0, -80.0, 100.0), picks) <= 1e-15
+
+
+def test_pair_indices_are_shared_read_only():
+    from rydcat.overlap import _upper_pairs
+
+    iu, ju = _upper_pairs(7)
+    assert _upper_pairs(7)[0] is iu
+    assert not iu.flags.writeable and not ju.flags.writeable
+    expect_i, expect_j = np.triu_indices(7, k=1)
+    assert np.array_equal(iu, expect_i) and np.array_equal(ju, expect_j)
+    s = hermitian_stack(np.arange(21.0)[None] * (1 + 1j), 7)[0]
+    assert np.array_equal(s[expect_i, expect_j], np.arange(21.0) * (1 + 1j))
 
 
 class TestOverlapMatrix:
