@@ -23,15 +23,24 @@ def j0_j2_stable(x):
     """
     arr = np.abs(np.asarray(x, dtype=float))
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    small = arr < _TAYLOR_CUTOFF
-    safe = np.where(small, 1.0, arr)
+    # ``arr`` is a fresh array, so it is overwritten in place, and so are
+    # the temporaries of the closed forms: few tile-sized arrays are
+    # alive at once.
+    safe = np.atleast_1d(arr)
+    small = safe < _TAYLOR_CUTOFF
+    x_small = safe[small]
+    safe[small] = 1.0
     s = np.sin(safe)
     c = np.cos(safe)
     j0 = s / safe
-    j2 = (3.0 / safe**3 - 1.0 / safe) * s - (3.0 / safe**2) * c
-    if small.any():
-        x_small = arr[small]
+    # j2 = (3 / safe**3 - 1 / safe) * s - (3 / safe**2) * c
+    j2 = safe**3
+    np.divide(3.0, j2, out=j2)
+    j2 -= 1.0 / safe
+    j2 *= s
+    c *= np.divide(3.0, safe**2, out=s)
+    j2 -= c
+    if x_small.size:
         x2 = x_small * x_small
         j0[small] = 1.0 + x2 * (
             -1.0 / 6.0

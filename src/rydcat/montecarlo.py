@@ -3,9 +3,9 @@
 Draws Gaussian atom clouds, reduces each to its collective branch
 overlap and pair statistics, and aggregates means with standard errors.
 Each run owns a counter-based generator keyed by (master seed, run
-index), and runs are evaluated together in stacks whose arithmetic is
-per run, so results are bit-reproducible for a given seed whatever the
-stacking.
+index), and runs are evaluated together in pair tiles whose arithmetic
+is per run, so results are bit-reproducible for a given seed whatever
+the campaign a run belongs to.
 """
 
 from __future__ import annotations
@@ -18,18 +18,12 @@ import numpy as np
 from .errors import ParameterError
 from .overlap import (
     Polarization,
-    collective_stack,
-    hermitian_stack,
+    collective_pairs,
     incident_wavevector,
-    pair_moments,
-    pair_overlaps,
+    tile_clouds,
 )
 
 _WORKERS_ENV = "RYDCAT_WORKERS"
-# Atom pairs evaluated together in one stack: large enough that numpy's
-# per-call overhead is shared by many small clouds, small enough that a
-# stack's arrays stay a few MB.
-_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -41,7 +35,7 @@ class MonteCarloConfig:
     is validated (>= 1, or None to defer to the RYDCAT_WORKERS
     environment variable, read by ``resolve_workers``), but runs are
     evaluated in one thread whatever its value, since on two cores a
-    thread pool over the stacked chunks gained nothing.
+    thread pool over the stacked runs gained nothing.
     """
 
     n_atoms: int = 260
@@ -102,7 +96,7 @@ def _stream_state(seed: int, stream: int) -> dict:
     }
 
 
-def _sample_chunk(config: MonteCarloConfig, k_in: np.ndarray, streams: range):
+def _sample_group(config: MonteCarloConfig, k_in: np.ndarray, streams: range):
     """Per-run b, c, s12 and s12_sq of the runs keyed by ``streams``."""
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
@@ -111,9 +105,7 @@ def _sample_chunk(config: MonteCarloConfig, k_in: np.ndarray, streams: range):
         bitgen.state = _stream_state(config.seed, stream)
         gen.standard_normal(out=cloud)
     positions *= config.effective_sigmas
-    pairs = pair_overlaps(positions, k_in, config.polarization.jones)
-    c, b, _ = collective_stack(hermitian_stack(pairs, config.n_atoms))
-    s12, s12_sq = pair_moments(pairs)
+    c, b, s12, s12_sq = collective_pairs(positions, k_in, config.polarization.jones)
     return b, c, s12, s12_sq
 
 
@@ -121,16 +113,15 @@ def _sample_runs(config: MonteCarloConfig, first_stream: int = 0):
     """Per-run b, c, s12 and s12_sq of ``config.n_runs`` clouds.
 
     Run i draws its cloud from the Philox stream keyed by (seed,
-    first_stream + i).  Runs are evaluated in stacks of at most
-    ``_CHUNK_PAIRS`` atom pairs.  A run's numbers depend on its key
-    alone, never on the chunk it shares.
+    first_stream + i).  Small clouds are evaluated together, as many as
+    fill one pair tile (``overlap.tile_clouds``).  A run's numbers depend
+    on its key alone, never on the clouds it shares a tile with.
     """
-    n = config.n_atoms
-    per_chunk = max(1, _CHUNK_PAIRS // (n * (n - 1) // 2))
+    per_group = tile_clouds(config.n_atoms)
     streams = range(first_stream, first_stream + config.n_runs)
-    chunks = [streams[i:i + per_chunk] for i in range(0, len(streams), per_chunk)]
+    groups = [streams[i:i + per_group] for i in range(0, len(streams), per_group)]
     k_in = incident_wavevector(config.wavelength, config.direction)
-    parts = [_sample_chunk(config, k_in, chunk) for chunk in chunks]
+    parts = [_sample_group(config, k_in, group) for group in groups]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -193,6 +193,24 @@ class OverlapMatrix:
             raise ParameterError("overlap matrix diagonal is not 1")
 
 
+# Atom pairs evaluated together in one tile.  A tile's per-pair
+# temporaries then stay at most 64 KB, under glibc's default 128 KiB
+# mmap threshold, so they come from the heap instead of each mapping and
+# faulting in fresh pages; numpy's per-call overhead is still shared by a
+# few thousand pairs.
+_TILE_PAIRS = 4096
+_TINY = np.finfo(float).tiny
+
+
+def tile_clouds(n_atoms: int) -> int:
+    """Clouds of ``n_atoms`` evaluated together in one tile.
+
+    Whole clouds share a tile when a cloud has at most ``_TILE_PAIRS``
+    pairs; a larger cloud is split over several tiles of its own.
+    """
+    return max(1, _TILE_PAIRS // (n_atoms * (n_atoms - 1) // 2))
+
+
 def pair_overlaps(
     positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray
 ) -> np.ndarray:
@@ -203,26 +221,61 @@ def pair_overlaps(
     triangle of each matrix is the complex conjugate, so it is never
     evaluated.  Every pair goes through the same elementwise arithmetic
     whatever the stack, so a cloud's overlaps do not depend on R.
-
-    The drive phase is rank 1, exp(-i k.(x_i - x_j)) = e_i conj(e_j)
-    with e = exp(-i k.x), so its cosine and sine are taken once per atom;
-    each pair costs one square root, one sine and one cosine.
     """
-    iu, ju = _upper_pairs(positions.shape[1])
-    diffs = np.take(positions, iu, axis=1) - np.take(positions, ju, axis=1)
-    # np.linalg.norm's sum of squares in its order, bit for bit, without
-    # its copy or a reduction over a length-3 axis (10x slower).
-    sq = diffs * diffs
-    dist = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
-    safe = np.where(dist == 0.0, 1.0, dist)
-    # Magnitude of the separation direction projected on the Jones
-    # vector.  Coincident pairs get an arbitrary value; the order-2
-    # kernel vanishes there, so it never enters.
-    proj = np.abs(_project(diffs, jones)) / safe
-    j0, j2 = j0_j2_stable(float(np.linalg.norm(k_in)) * dist)
-    kernel = j0 + legendre_p2(proj) * j2
-    phase = _drive_phase(positions, k_in)
-    return np.take(phase, iu, axis=1) * np.take(phase.conj(), ju, axis=1) * kernel
+    r, n, _ = positions.shape
+    flat = positions.reshape(r * n, 3)
+    i, j, _ = _pair_block(n, 0, n - 1, r)
+    pairs = _pair_kernel(
+        np.ascontiguousarray(flat.T), _drive_phase(flat, k_in), i, j,
+        float(np.linalg.norm(k_in)), jones,
+    )
+    return pairs.reshape(r, -1)
+
+
+def _pair_kernel(coords, phase, i, j, wavenumber, jones):
+    # Overlaps of the atom pairs (i[m], j[m]) of atoms with coordinates
+    # ``coords`` (3, M) and drive phases ``phase`` (M,).  The drive phase
+    # is rank 1, exp(-i k.(x_i - x_j)) = e_i conj(e_j) with e = exp(-i k.x),
+    # so each pair costs one square root, one sine and one cosine.  The
+    # arithmetic is in place where it can be, so that few tile-sized
+    # temporaries are alive at once.
+    diffs = np.take(coords, i, axis=1)
+    diffs -= np.take(coords, j, axis=1)
+    sq = np.einsum("kt,kt->t", diffs, diffs)
+    proj_re = _weighted_sum(diffs, jones.real)
+    proj_im = _weighted_sum(diffs, jones.imag)
+    # P2 of the separation direction projected on the Jones vector, from
+    # its real and imaginary parts.  A coincident pair gets -1/2; the
+    # order-2 kernel vanishes there, so it never enters.
+    p2 = proj_re * proj_re
+    p2 += proj_im * proj_im
+    p2 *= 1.5
+    p2 /= np.maximum(sq, _TINY)
+    p2 -= 0.5
+    kx = np.sqrt(sq, out=sq)
+    kx *= wavenumber
+    kernel, j2 = j0_j2_stable(kx)
+    j2 *= p2
+    kernel += j2
+    pairs = np.take(phase, i)
+    phase_j = np.take(phase, j)
+    pairs *= np.conjugate(phase_j, out=phase_j)
+    pairs *= kernel
+    return pairs
+
+
+def _weighted_sum(parts, weights):
+    # sum_k parts[k] * weights[k], skipping zero weights: their terms
+    # could only flip the sign of a zero sum, which is squared.
+    total = None
+    for part, weight in zip(parts, weights):
+        if weight:
+            term = part * weight
+            if total is None:
+                total = term
+            else:
+                total += term
+    return 0.0 if total is None else total
 
 
 # Veltkamp's splitter 2**27 + 1: the halves of two split float64s
@@ -271,25 +324,51 @@ def _drive_phase(positions: np.ndarray, k_in: np.ndarray) -> np.ndarray:
     return phase
 
 
-@lru_cache(maxsize=32)
-def _upper_pairs(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    # np.triu_indices(n_atoms, 1), built once per atom number and shared
-    # read-only; 32 atom numbers cover a default power-law scan.
-    pairs = np.triu_indices(n_atoms, k=1)
-    for index in pairs:
+@lru_cache(maxsize=64)
+def _pair_block(
+    n_atoms: int, row_start: int, row_stop: int, clouds: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The pairs i < j of rows [row_start, row_stop) in triu order, for
+    # ``clouds`` stacked clouds whose atoms are numbered cloud by cloud:
+    # atom indices i and j, and where each row's pairs start.  Built per
+    # row block and shared read-only, so a large cloud never holds all
+    # its N(N - 1)/2 index pairs.
+    rows = np.arange(row_start, row_stop)
+    counts = n_atoms - 1 - rows
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    i = np.repeat(rows, counts)
+    j = np.arange(ends[-1]) + np.repeat(rows + 1 - starts, counts)
+    shift = np.arange(clouds)[:, None]
+    block = (
+        (i + n_atoms * shift).ravel(),
+        (j + n_atoms * shift).ravel(),
+        (starts + ends[-1] * shift).ravel(),
+    )
+    for index in block:
         index.setflags(write=False)
-    return pairs
+    return block
 
 
-def _project(diffs: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    # Contract the last axis through BLAS's matrix-vector product.  numpy
-    # sends a single row to BLAS's dot product instead, which rounds
-    # differently, so a lone pair is evaluated twice and rounds like the
-    # pairs of any larger stack.
-    if diffs.shape[0] * diffs.shape[1] == 1:
-        twice = np.concatenate([diffs, diffs])
-        return np.tensordot(twice, vector, axes=(-1, 0))[:1]
-    return np.tensordot(diffs, vector, axes=(-1, 0))
+@lru_cache(maxsize=32)
+def _row_blocks(n_atoms: int) -> tuple[tuple[int, int], ...]:
+    # Consecutive rows of one cloud's triu order, at most _TILE_PAIRS
+    # pairs per block (one row if a row alone has more); the whole cloud
+    # in one block when it fits.  Depends on the atom number alone.
+    blocks, start, size = [], 0, 0
+    for row in range(n_atoms - 1):
+        count = n_atoms - 1 - row
+        if size and size + count > _TILE_PAIRS:
+            blocks.append((start, row))
+            start, size = row, 0
+        size += count
+    blocks.append((start, n_atoms - 1))
+    return tuple(blocks)
+
+
+def _upper_pairs(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.triu_indices(n_atoms, 1), shared read-only.
+    return _pair_block(n_atoms, 0, n_atoms - 1, 1)[:2]
 
 
 def hermitian_stack(pairs: np.ndarray, n_atoms: int) -> np.ndarray:
@@ -340,41 +419,147 @@ def collective_stack(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Reduce a stack of pairwise matrices to the branch overlaps.
 
     ``s`` has shape (R, N, N); returns the overlaps ``c_up_dn`` (R,), the
-    mismatches ``b_up_dn = 1 - Re c`` (R,) and the punctured-mode
-    normalizations ``per_atom`` (R, N).  The transparent branch radiates
-    the fully symmetric collective mode.  In the blockaded branch the
-    excited atom drops out, and the blockade mixes the punctured modes
-    with equal weight; the reduction sums them without ever forming the
-    N x N x N intermediate.
-
-    Each member is reduced exactly as a lone matrix would be: the
-    scalar steps repeat, elementwise, what Python floats did per run
-    (``t0**2`` is libm ``pow``, and a complex over a real divides both
-    parts), so stacking never moves a bit.
+    mismatches ``b_up_dn`` (R,) and the punctured-mode normalizations
+    ``per_atom`` (R, N).  The dense reference of ``collective_pairs``:
+    both finish in ``_branch_overlap``, this one from the matrices' row
+    sums and quadratic forms.
     """
-    r, n, _ = s.shape
-    row = s.sum(axis=2)
-    n_dn = s.reshape(r, n * n).sum(axis=1).real
+
+    def quadratic(eps):
+        return (eps[:, None, :] @ s.real @ eps[:, :, None])[:, 0, 0]
+
+    return _branch_overlap(s.sum(axis=2), quadratic)
+
+
+def _branch_overlap(row, quadratic):
+    """Branch overlaps of R clouds from their matrices' row sums.
+
+    ``row`` (R, N) holds each matrix's complex row sums and
+    ``quadratic(eps)`` returns eps^T Re(S) eps for each member of a real
+    (R, N) ``eps``.  Returns ``c_up_dn``, ``b_up_dn`` and ``per_atom`` as
+    ``collective_stack`` does.
+
+    The transparent branch radiates the fully symmetric collective mode,
+    of norm n_dn = 1^T S 1.  In the blockaded branch the excited atom
+    drops out and the blockade mixes the punctured modes with equal
+    weight: atom j gets the coefficient (N - 1) m - delta_j, with m the
+    mean of the inverse punctured norms and delta their deviation from
+    it, so the mode is proportional to 1 - eps, eps = delta / ((N - 1) m).
+    With a = eps^T S 1 and e = eps^T S eps,
+
+        1 - |c|^2 = (e - |a|^2 / n_dn) / (n_dn - 2 Re a + e),
+        arg c = arg(n_dn - a),
+
+    and b = 1 - Re c = (1 - |c|) + 2 |c| sin^2(arg(c) / 2).  b is never
+    formed as 1 - Re c with c ~ 1 - O(N^-3), whose rounding to an ulp of
+    1 swamps b at large N, and delta is formed from row-sum differences
+    rather than as a difference of inverse norms.  Each member is
+    reduced exactly as a lone matrix would be.
+    """
+    n = row.shape[1]
+    r_re = row.real
+    n_dn = r_re.sum(axis=1)
     if np.any(n_dn <= 0.0):
         raise NumericalError("nonpositive normalization of the symmetric mode")
-    per_atom = n_dn[:, None] - 2.0 * row.real + 1.0
+    per_atom = n_dn[:, None] - 2.0 * r_re + 1.0
     if np.any(per_atom <= 0.0):
         raise NumericalError("nonpositive normalization of a punctured mode")
-    inv = 1.0 / np.sqrt(per_atom)
-    t0 = inv.sum(axis=1)
-    t1 = (inv * row).sum(axis=1)
-    t2 = (inv[:, None, :] @ s @ inv[:, :, None])[:, 0, 0].real
-    n_up = n_dn * np.float_power(t0, 2.0) - 2.0 * t0 * t1.real + t2
-    if np.any(n_up <= 0.0):
+    root = np.sqrt(per_atom)
+    r_mean = r_re.mean(axis=1, keepdims=True)
+    root_mean = np.sqrt(n_dn[:, None] - 2.0 * r_mean + 1.0)
+    # 1/root - 1/root_mean, without the cancellation.
+    dev = 2.0 * (r_re - r_mean) / (root * root_mean * (root + root_mean))
+    dev -= dev.mean(axis=1, keepdims=True)
+    eps = dev / ((n - 1) * (1.0 / root).mean(axis=1, keepdims=True))
+    a = (eps * row).sum(axis=1)
+    e = quadratic(eps)
+    den = n_dn - 2.0 * a.real + e
+    if np.any(den <= 0.0):
         raise NumericalError("nonpositive normalization of the blockaded mode")
-    norm = np.sqrt(n_dn * n_up)
-    c = np.empty(r, dtype=complex)
-    c.real = (n_dn * t0 - t1.real) / norm
-    c.imag = (0.0 - t1.imag) / norm
-    over = np.abs(c) > 1.0 + 1e-9
+    loss = (e - (a.real * a.real + a.imag * a.imag) / n_dn) / den
+    mod = np.sqrt(1.0 - loss)
+    phi = np.angle(n_dn - a)
+    half = np.sin(0.5 * phi)
+    b = loss / (1.0 + mod) + 2.0 * mod * half * half
+    c = np.empty(b.shape, dtype=complex)
+    c.real = 1.0 - b
+    c.imag = mod * np.sin(phi)
+    over = mod > 1.0 + 1e-9
     if np.any(over):
         _check_overlap_magnitude(complex(c[np.argmax(over)]))
-    return c, 1.0 - c.real, per_atom
+    return c, b, per_atom
+
+
+def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray):
+    """Branch overlaps and pair moments of stacked clouds, from their pairs.
+
+    ``positions`` has shape (R, N, 3).  Returns ``c_up_dn``, ``b_up_dn``,
+    the mean pair overlap and the mean squared pair magnitude, each (R,).
+    The pairs i < j are evaluated tile by tile, each tile a block of
+    rows of the triu order of every cloud, and reduced on the spot: row
+    sums above the diagonal by ``np.add.reduceat`` (their total is the
+    pair sum), below it by ``np.bincount``, and the real part of each
+    pair is kept (8 B per pair) for the quadratic form of
+    ``_branch_overlap``, so memory is 8 B per pair of the stack plus one
+    tile; no N x N matrix is formed.
+    A cloud's results depend on its row blocks, fixed by N, never on the
+    other clouds of the stack.
+    """
+    r, n, _ = positions.shape
+    flat = positions.reshape(r * n, 3)
+    coords = np.ascontiguousarray(flat.T)
+    phase = _drive_phase(flat, k_in)
+    wavenumber = float(np.linalg.norm(k_in))
+    blocks = _row_blocks(n)
+    # Index blocks are cached for a full tile of clouds and cut to the r
+    # clouds here, so a campaign's last, partial tile adds no entry.
+    stacked = max(r, tile_clouds(n))
+
+    def block(start, stop):
+        i, j, row_starts = _pair_block(n, start, stop, stacked)
+        size = r * (i.size // stacked)
+        return i[:size], j[:size], row_starts[:r * (stop - start)]
+
+    upper = np.zeros((r, n), dtype=complex)
+    lower_re = np.zeros(r * n)
+    lower_im = np.zeros(r * n)
+    total_sq = np.zeros(r)
+    real_parts = np.empty(r * (n * (n - 1) // 2))
+    offset = 0
+    for start, stop in blocks:
+        i, j, row_starts = block(start, stop)
+        s = _pair_kernel(coords, phase, i, j, wavenumber, jones)
+        re = real_parts[offset:offset + s.size]
+        re[:] = s.real
+        im = s.imag
+        upper[:, start:stop] = np.add.reduceat(s, row_starts).reshape(r, -1)
+        lower_re += np.bincount(j, re, r * n)
+        lower_im += np.bincount(j, im, r * n)
+        for part in (re.reshape(r, -1), im.reshape(r, -1)):
+            total_sq += np.einsum("ij,ij->i", part, part)
+        offset += s.size
+    row = np.empty((r, n), dtype=complex)
+    row.real = 1.0 + upper.real + lower_re.reshape(r, n)
+    row.imag = upper.imag - lower_im.reshape(r, n)
+
+    def quadratic(eps):
+        # eps_i eps_j Re s_ij summed row by row of each block.
+        flat_eps = eps.ravel()
+        cross = np.zeros(r)
+        offset = 0
+        for start, stop in blocks:
+            i, j, row_starts = block(start, stop)
+            part = np.take(flat_eps, j)
+            part *= real_parts[offset:offset + j.size]
+            part = np.add.reduceat(part, row_starts)
+            part *= np.take(flat_eps, i[row_starts])
+            cross += part.reshape(r, -1).sum(axis=1)
+            offset += j.size
+        return (eps * eps).sum(axis=1) + 2.0 * cross
+
+    c, b, _ = _branch_overlap(row, quadratic)
+    count = n * (n - 1) // 2
+    return c, b, upper.sum(axis=1) / count, total_sq / count
 
 
 def collective_from_matrix(matrix: OverlapMatrix) -> CollectiveOverlap:
@@ -397,17 +582,11 @@ def collective_overlap(
     return collective_from_matrix(overlap_matrix(cloud, polarization))
 
 
-def pair_moments(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and mean squared magnitude of each row of an (R, P) stack."""
-    count = pairs.shape[1]
-    return pairs.sum(axis=1) / count, (np.abs(pairs) ** 2).sum(axis=1) / count
-
-
 def pair_statistics(matrix: OverlapMatrix) -> tuple[complex, float]:
     """Mean pair overlap and mean squared magnitude over distinct pairs."""
     n = matrix.n_atoms
     if n < 2:
         raise ParameterError("need at least two atoms")
     iu, ju = _upper_pairs(n)
-    mean, mean_sq = pair_moments(matrix.s[iu, ju][None])
-    return complex(mean[0]), float(mean_sq[0])
+    pairs = matrix.s[iu, ju]
+    return complex(pairs.mean()), float(np.mean(np.abs(pairs) ** 2))

@@ -4,7 +4,10 @@ Everything here deliberately avoids the closed forms under test:
 solid-angle quadrature instead of the Bessel kernel, explicit mode
 functions on an angular grid instead of the matrix reduction, nested
 Gaussian-weighted quadrature instead of the thermal closed forms, and
-number-basis beam splitting instead of coherent-state algebra.
+number-basis beam splitting instead of coherent-state algebra.  The
+one exception, ``branch_mismatch_longdouble``, evaluates the package's
+own branch reduction at higher precision, so that it measures float64
+rounding alone.
 """
 
 from __future__ import annotations
@@ -240,6 +243,37 @@ def grid_collective_overlap(
         g_up = g_up + punctured / np.sqrt(inner(punctured, punctured).real)
     n_up = inner(g_up, g_up).real
     return inner(g_up, g_dn) / np.sqrt(n_up * n_dn)
+
+
+def branch_mismatch_longdouble(s, block: int = 256):
+    """Branch mismatch b of a dense overlap matrix, in np.clongdouble.
+
+    The cancellation-free reduction of ``overlap._branch_overlap`` with
+    every step after the float64 matrix in extended precision: row
+    sums, the blockaded-mode weights, the quadratic form (``block`` rows
+    at a time) and b = (1 - |c|) + 2 |c| sin^2(arg(c) / 2).  Returns a
+    ``np.longdouble``.
+    """
+    s = np.asarray(s)
+    n = s.shape[0]
+    row = s.sum(axis=1, dtype=np.clongdouble)
+    r = row.real
+    n_dn = r.sum()
+    root = np.sqrt(n_dn - 2 * r + 1)
+    r_mean = r.mean()
+    root_mean = np.sqrt(n_dn - 2 * r_mean + 1)
+    dev = 2 * (r - r_mean) / (root * root_mean * (root + root_mean))
+    dev -= dev.mean()
+    eps = dev / ((n - 1) * (1 / root).mean())
+    a = (eps * row).sum()
+    e = sum(
+        eps[i:i + block] @ (s[i:i + block].real.astype(np.longdouble) @ eps)
+        for i in range(0, n, block)
+    )
+    loss = (e - (a.real**2 + a.imag**2) / n_dn) / (n_dn - 2 * a.real + e)
+    mod = np.sqrt(1 - loss)
+    half = np.sin(np.angle(n_dn - a) / 2)
+    return loss / (1 + mod) + 2 * mod * half * half
 
 
 def beam_splitter_factor_fock(

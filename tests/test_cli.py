@@ -18,7 +18,10 @@ def run_cli(capsys, *argv):
 # cavity, steady-state and config plumbing were folded; a refactor must
 # keep every byte.  mc and figure4 were captured again when the drive
 # phase became rank 1, which moves their printed numbers by at most
-# 1e-13 and 3e-11 relative.
+# 1e-13 and 3e-11 relative, and again when the branch mismatch stopped
+# being formed as 1 - Re c, which moves them by at most 4.3e-9 (mc,
+# b_sem) and 3.7e-10 (figure4, b_sem at N = 6): the old mismatch was
+# off by a few ulp of 1.
 GOLDEN_SHA256 = {
     ("amplitudes", "csv"): "e3f6d9bac34c166d39b4d11b3cf4be069ee31d5756c302bc4a6f7e02c1aa9e27",
     ("amplitudes", "json"): "e1fc5978389c828059d33923933ac63cecd6b35824c8baa21b8dab598abce998",
@@ -30,10 +33,10 @@ GOLDEN_SHA256 = {
     ("headline", "json"): "b4b52d79f0adcae2daa8f46e604795e592513401d2ad2ccb5ee7cee4e87ee7e4",
     ("xcheck", "csv"): "dc41c0dad41f46e9d3933f4b83b714074a2acf6c229bba341eb641341685a117",
     ("xcheck", "json"): "0d5606ce23c85001aff1452509a3e9e4c389d8c30f64bb4ef32a8b7b8049399b",
-    ("mc", "csv"): "69ffc08d905e5b3b79bc2eee8e370d5b018f15c3b1dbc769992a67d94db8d152",
-    ("mc", "json"): "1d6c2740620eb9615f8bd028f1bb1cca6e4e8297a0f1b9472e9bd828097c3ac7",
-    ("figure4", "csv"): "39430c9a92f93918b9b3e35d80d06f852f2abaa874087388c2e9da4a9550af22",
-    ("figure4", "json"): "a5c0e137e9e12b90c0cf021652491e836b0cf87610efeef1267195c0506e23ee",
+    ("mc", "csv"): "9c20255725427f7f300b0d16a9be5a6c77777b8c46d949da54515c2703950a76",
+    ("mc", "json"): "4d3c4bc6ace3fb685946b0a3a19c2e1f62ab340c3445b250e2bc285683612be6",
+    ("figure4", "csv"): "9476f72a3b65ec5cd50bfa57d0145b78746193d0c76923f481681c8fc922b8b1",
+    ("figure4", "json"): "166339f13b0caa321eda64f43ff101dcbe5818308f778699caec74ec4eec3ac9",
 }
 GOLDEN_ARGS = {
     "mc": ("--n-atoms", "20", "--n-runs", "4"),

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -156,11 +157,13 @@ class TestPowerLawStudy:
             power_law_study(cfg, n_grid=[3, 4], runs_budget=0.0)
 
 
-# The per-run path as it was before runs were stacked: a fresh Philox
-# generator, one cloud and one full N x N matrix per run, reduced in
-# Python floats.  The stacked path must reproduce it bit for bit.  Its
-# drive phase is rank 1, e_i conj(e_j) with e = exp(-i k.x) from the
-# package's compensated k.x, multiplied in the order pair_overlaps uses;
+# The per-run path as it was before runs were stacked and before the
+# branch mismatch was reformulated: a fresh Philox generator, one cloud
+# and one full N x N matrix per run, reduced in Python floats to c and
+# b = 1 - Re c.  That b carries the rounding of c to a few ulp of 1, so
+# it is a reference only where b is large (N <= 30): the package must
+# agree with it to within that error.  Its drive phase is rank 1,
+# e_i conj(e_j) with e = exp(-i k.x) from the package's compensated k.x;
 # ``direct_phase`` instead forms exp(-i k.(x_i - x_j)) per pair, as the
 # kernel did before, which agrees to rounding only.
 def reference_matrix(config, key, direct_phase=False):
@@ -218,30 +221,6 @@ def reference_runs(config, first_stream=0):
             np.array([r[4] for r in rows]))
 
 
-def reference_power_law(config, n_grid, runs_budget):
-    b_mean, b_sem, runs = [], [], []
-    for n in n_grid:
-        n_runs = max(2, round(runs_budget / n**2))
-        b = reference_runs(replace(config, n_atoms=n, n_runs=n_runs),
-                           first_stream=n << 32)[0]
-        b_mean.append(b.mean())
-        b_sem.append(float(np.std(b, ddof=1) / np.sqrt(b.size)))
-        runs.append(n_runs)
-    n_arr = np.array(n_grid, dtype=float)
-    b_mean, b_sem = np.array(b_mean), np.array(b_sem)
-    design = n_arr**-3
-    weight = 1.0 / b_sem**2
-    gram = float(np.sum(weight * design**2))
-    return dict(
-        n_atoms=np.array(n_grid), b_mean=b_mean, b_sem=b_sem,
-        runs=np.array(runs, dtype=int),
-        c3=float(np.sum(weight * b_mean * design) / gram),
-        c3_err=float(np.sqrt(1.0 / gram)),
-        free_slope=float(np.polyfit(np.log(n_arr), np.log(b_mean), 1,
-                                    w=b_mean / b_sem)[0]),
-    )
-
-
 GEOMETRIES = {
     "circular": {},
     "isotropic": dict(isotropic=True),
@@ -249,37 +228,84 @@ GEOMETRIES = {
     "oblique": dict(direction=(0.3, -0.5, 0.8),
                     polarization=Polarization.linear((0.0, 1.0, 1.0))),
 }
-# Enough runs that the default chunk size splits N = 64 and N = 260.
+# Enough runs that N = 2, 3, 13 and 19 share tiles and N = 64 fills
+# twenty; N = 260 takes nine tiles per run.
 RUNS = {2: 9, 3: 9, 13: 9, 19: 9, 64: 40, 260: 3}
 
 
-@pytest.fixture(scope="module")
-def reference():
-    cache = {}
+def runs_in_campaigns(config, first_stream, size):
+    """The runs of ``config`` from separate campaigns of ``size`` runs.
 
-    def get(geometry, n):
-        if (geometry, n) not in cache:
-            config = MonteCarloConfig(n_atoms=n, n_runs=RUNS[n], seed=5,
-                                      **GEOMETRIES[geometry])
-            cache[geometry, n] = reference_runs(config)[:4]
-        return cache[geometry, n]
+    A campaign of one run is the first run of a campaign of two, since a
+    configuration needs two runs.
+    """
+    parts = []
+    for start in range(0, config.n_runs, size):
+        runs = min(size, config.n_runs - start)
+        got = montecarlo._sample_runs(replace(config, n_runs=max(2, runs)),
+                                      first_stream + start)
+        parts.append([field[:runs] for field in got])
+    return tuple(np.concatenate(field) for field in zip(*parts))
 
-    return get
 
-
-@pytest.mark.parametrize("chunk_pairs", [1, montecarlo._CHUNK_PAIRS, 10**6])
+@pytest.mark.parametrize("first_stream", [1, 1 << 16, 10**6])
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 @pytest.mark.parametrize("n", sorted(RUNS))
-def test_runs_bit_identical_to_per_run_path(monkeypatch, reference,
-                                            chunk_pairs, geometry, n):
-    monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk_pairs)
+def test_runs_bit_identical_to_per_run_path(geometry, n, first_stream):
+    # Each run evaluated alone, first in a campaign of its own, against
+    # the same runs in one campaign: a run's bits depend on its stream
+    # key alone, not on the campaign size, its place in a tile or the
+    # worker count.
+    config = MonteCarloConfig(n_atoms=n, n_runs=RUNS[n], seed=5,
+                              **GEOMETRIES[geometry])
+    alone = runs_in_campaigns(config, first_stream, 1)
     for workers in (1, 2, 4):
-        res = run_monte_carlo(MonteCarloConfig(
-            n_atoms=n, n_runs=RUNS[n], seed=5, workers=workers,
-            **GEOMETRIES[geometry]))
-        got = (res.b, res.c_up_dn, res.s12, res.s12_sq)
-        for field, expect in zip(got, reference(geometry, n)):
+        got = montecarlo._sample_runs(replace(config, workers=workers),
+                                      first_stream)
+        for field, expect in zip(got, alone):
             assert field.tobytes() == expect.tobytes()
+    if first_stream == 1:
+        res = run_monte_carlo(config)
+        got = (res.b, res.c_up_dn, res.s12, res.s12_sq)
+        for field, expect in zip(got, montecarlo._sample_runs(config)):
+            assert field.tobytes() == expect.tobytes()
+
+
+def old_mismatch_longdouble(s):
+    # reference_run's reduction in np.clongdouble: b = 1 - Re c with c
+    # rounded to ~1e-19, good to ~1e-18 at N <= 30.
+    s = s.astype(np.clongdouble)
+    row = s.sum(axis=1)
+    n_dn = s.sum().real
+    inv = 1.0 / np.sqrt(n_dn - 2.0 * row.real + 1.0)
+    t0 = inv.sum()
+    t1 = (inv * row).sum()
+    n_up = n_dn * t0 * t0 - 2.0 * t0 * t1.real + (inv @ s @ inv).real
+    return 1.0 - ((n_dn * t0 - t1.real) / np.sqrt(n_dn * n_up))
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("n", [2, 3, 13, 19, 30])
+def test_mismatch_agrees_with_old_reduction(geometry, n):
+    # The old 1 - Re c is off by up to a few ulp of 1; the new b must sit
+    # within that error of it, measured per run against the old
+    # reduction in long double, and within 2**-60 of the latter.
+    config = MonteCarloConfig(n_atoms=n, n_runs=12, seed=5,
+                              **GEOMETRIES[geometry])
+    b, c, s12, s12_sq = montecarlo._sample_runs(config)
+    old_b, old_c, old_s12, old_s12_sq, _ = reference_runs(config)
+    keys = [np.array([config.seed, run], dtype=np.uint64)
+            for run in range(config.n_runs)]
+    long_b = np.array([old_mismatch_longdouble(reference_matrix(config, key)[2])
+                       for key in keys])
+    old_error = np.abs(old_b - long_b).astype(float)
+    assert np.all(np.abs(b - long_b) <= 2.0**-60)
+    assert np.all(np.abs(b - old_b) <= old_error + 2.0**-60)
+    assert np.max(old_error) <= 8 * 2.0**-53
+    assert np.array_equal(c.real, 1.0 - b)
+    assert np.max(np.abs(c.imag - old_c.imag)) <= 1e-15
+    assert np.max(np.abs(s12 - old_s12)) <= 1e-16
+    assert np.max(np.abs(s12_sq / old_s12_sq - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
@@ -294,14 +320,32 @@ def test_pairs_match_direct_phase(geometry, n):
     assert np.max(np.abs(pairs - direct[iu, ju])) <= 1e-13
 
 
+@pytest.mark.parametrize("n, runs, limit", [
+    (2000, 2, 12 * (2000 * 1999 // 2)),  # 12 B per pair
+    (260, 100, 1.5e6),
+])
+def test_traced_peak_memory(n, runs, limit):
+    # numpy reports its buffers to tracemalloc.  A run keeps 8 B per pair
+    # plus one tile of pairs; the dense (R, N, N) stack took 145 B per
+    # pair at N = 2000 and 4.96 MB over 100 runs at N = 260.
+    config = MonteCarloConfig(n_atoms=n, n_runs=runs, seed=9)
+    run_monte_carlo(replace(config, n_runs=2))
+    tracemalloc.start()
+    try:
+        run_monte_carlo(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+
+
 @pytest.fixture(scope="module")
 def reference_scan():
     # N = 3 at budget 2e4 holds runs 402, 1571, 2165 and 2219 of seed 0
     # (and 592 since the rank-1 phase), where libm's t0**2 and t0*t0
-    # round apart and move b.
-    config = MonteCarloConfig(seed=0)
-    return reference_power_law(config, [3, 4], 2e4), reference_runs(
-        replace(config, n_atoms=3, n_runs=2222), first_stream=3 << 32)
+    # round apart and moved the old b.
+    point = MonteCarloConfig(seed=0, n_atoms=3, n_runs=2222)
+    return point, reference_runs(point, first_stream=3 << 32)
 
 
 def test_pow_sensitive_runs_are_covered(reference_scan):
@@ -312,17 +356,41 @@ def test_pow_sensitive_runs_are_covered(reference_scan):
         assert t0[run] ** 2 != t0[run] * t0[run]
 
 
-@pytest.mark.parametrize("chunk_pairs, workers",
-                         [(1, 1), (montecarlo._CHUNK_PAIRS, 2), (10**6, 4)])
-def test_power_law_bit_identical_to_per_run_path(monkeypatch, reference_scan,
-                                                 chunk_pairs, workers):
-    monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk_pairs)
-    expect, runs = reference_scan
+def fit_power_law(n_grid, runs_b):
+    # power_law_study's fit, from each grid point's per-run mismatches.
+    b_mean = np.array([b.mean() for b in runs_b])
+    b_sem = np.array([float(np.std(b, ddof=1) / np.sqrt(b.size))
+                      for b in runs_b])
+    n_arr = np.array(n_grid, dtype=float)
+    design = n_arr**-3
+    weight = 1.0 / b_sem**2
+    gram = float(np.sum(weight * design**2))
+    return dict(
+        n_atoms=np.array(n_grid), b_mean=b_mean, b_sem=b_sem,
+        runs=np.array([b.size for b in runs_b], dtype=int),
+        c3=float(np.sum(weight * b_mean * design) / gram),
+        c3_err=float(np.sqrt(1.0 / gram)),
+        free_slope=float(np.polyfit(np.log(n_arr), np.log(b_mean), 1,
+                                    w=b_mean / b_sem)[0]),
+    )
+
+
+@pytest.mark.parametrize("campaign, workers",
+                         [(1, 1), (1 << 16, 2), (10**6, 4)])
+def test_power_law_bit_identical_to_per_run_path(reference_scan, campaign,
+                                                 workers):
+    # The scan's fit from its grid points' runs evaluated in campaigns of
+    # ``campaign`` runs (alone, or all at once), and the N = 3 runs
+    # against the old per-run path within its error.
     config = MonteCarloConfig(seed=0, workers=workers)
-    b = montecarlo._sample_runs(replace(config, n_atoms=3, n_runs=2222),
-                                first_stream=3 << 32)[0]
-    assert b.tobytes() == runs[0].tobytes()
+    runs_b = [
+        runs_in_campaigns(
+            replace(config, n_atoms=n, n_runs=max(2, round(2e4 / n**2))),
+            n << 32, campaign)[0]
+        for n in (3, 4)
+    ]
     study = power_law_study(config, n_grid=[3, 4], runs_budget=2e4)
-    for name, value in expect.items():
+    for name, value in fit_power_law([3, 4], runs_b).items():
         assert np.asarray(getattr(study, name)).tobytes() == \
             np.asarray(value).tobytes(), name
+    assert np.max(np.abs(runs_b[0] - reference_scan[1][0])) <= 8 * 2.0**-53

@@ -22,13 +22,19 @@ from rydcat import (
 
 from rydcat.bessel import _TAYLOR_CUTOFF
 from rydcat.overlap import (
+    _TILE_PAIRS,
+    _pair_block,
+    _row_blocks,
+    collective_pairs,
     collective_stack,
     hermitian_stack,
     incident_wavevector,
     pair_overlaps,
+    tile_clouds,
 )
 
 from oracles import (
+    branch_mismatch_longdouble,
     grid_collective_overlap,
     pair_overlap_mpmath,
     pair_overlap_quadrature,
@@ -182,6 +188,42 @@ def test_pair_indices_are_shared_read_only():
     assert np.array_equal(s[expect_i, expect_j], np.arange(21.0) * (1 + 1j))
 
 
+@pytest.mark.parametrize("n", [2, 3, 91, 92, 260])
+def test_pair_blocks_tile_the_upper_triangle(n):
+    # Row blocks of at most _TILE_PAIRS pairs, in triu order, for any
+    # number of stacked clouds.
+    blocks = _row_blocks(n)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n - 1
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    clouds = tile_clouds(n)
+    assert clouds * n * (n - 1) // 2 <= _TILE_PAIRS or clouds == 1
+    iu, ju = np.triu_indices(n, k=1)
+    for stack in {1, clouds}:
+        got = [_pair_block(n, start, stop, stack) for start, stop in blocks]
+        for cloud in range(stack):
+            i = np.concatenate([g[0].reshape(stack, -1)[cloud] for g in got])
+            j = np.concatenate([g[1].reshape(stack, -1)[cloud] for g in got])
+            assert np.array_equal(i, iu + n * cloud)
+            assert np.array_equal(j, ju + n * cloud)
+        for (start, stop), (i, _, row_starts) in zip(blocks, got):
+            assert i.size <= _TILE_PAIRS * stack or stop == start + 1
+            assert np.array_equal(i[row_starts],
+                                  np.tile(np.arange(start, stop), stack)
+                                  + n * np.repeat(np.arange(stack), stop - start))
+
+
+def test_row_blocks_of_a_large_cloud():
+    # Rows longer than a tile get a block each; later rows share one.
+    n = 5000
+    blocks = _row_blocks(n)
+    sizes = [sum(n - 1 - row for row in range(a, b)) for a, b in blocks]
+    assert sum(sizes) == n * (n - 1) // 2
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    for (start, stop), size in zip(blocks, sizes):
+        assert size <= _TILE_PAIRS or stop == start + 1
+    assert blocks[0] == (0, 1) and sizes[-1] <= _TILE_PAIRS
+
+
 class TestOverlapMatrix:
     def make(self, n=20, seed=5):
         cloud = AtomCloud.sample(n, (2.0, 2.0, 2.0), 0.78,
@@ -296,6 +338,54 @@ class TestCollectiveStack:
             assert c[i] == alone.c_up_dn
             assert b[i] == alone.b_up_dn
             assert per_atom[i].tobytes() == alone.per_atom.tobytes()
+
+
+class TestPairListReduction:
+    # collective_pairs (the Monte Carlo's reduction, straight from the
+    # pairs, tile by tile) against the dense matrices of
+    # collective_stack, and both against the same reduction in long
+    # double.  The old b = 1 - Re c was off by 2.4e-6 relative at
+    # N = 260 and 2.9e-3 at N = 2000.
+    POL = Polarization.circular()
+
+    def clouds(self, n, count, seed):
+        rng = np.random.default_rng(seed)
+        return [AtomCloud.sample(n, (3.3, 4.5, 1.7), 0.78, rng)
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("n", [2, 3, 13, 64, 92, 300])
+    def test_matches_dense_reduction(self, n):
+        clouds = self.clouds(n, 3, n)
+        positions = np.stack([cloud.positions for cloud in clouds])
+        k_in = clouds[0].k_in
+        c, b, mean, mean_sq = collective_pairs(positions, k_in,
+                                               self.POL.jones)
+        pairs = pair_overlaps(positions, k_in, self.POL.jones)
+        dense_c, dense_b, _ = collective_stack(hermitian_stack(pairs, n))
+        scale = np.maximum(dense_b, 1e-300)
+        assert np.all(np.abs(b - dense_b) <= 1e-13 * scale)
+        assert np.max(np.abs(c - dense_c)) <= 1e-15
+        assert np.array_equal(c.real, 1.0 - b)
+        assert np.array_equal(dense_c.real, 1.0 - dense_b)
+        assert np.max(np.abs(mean - pairs.mean(axis=1))) <= 1e-16
+        assert np.allclose(mean_sq, np.mean(np.abs(pairs) ** 2, axis=1),
+                           rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [260, 1000, 2000])
+    def test_long_double_oracle(self, n):
+        (cloud,) = self.clouds(n, 1, n)
+        matrix = overlap_matrix(cloud, self.POL)
+        expect = float(branch_mismatch_longdouble(matrix.s))
+        dense = collective_from_matrix(matrix)
+        b = collective_pairs(cloud.positions[None], cloud.k_in,
+                             self.POL.jones)[1][0]
+        # Both stay within ~1e-15; a blockaded-mode deviation formed as a
+        # difference of inverse norms, not from row-sum differences,
+        # lands near 1.5e-14.
+        assert abs(dense.b_up_dn - expect) <= 4e-15 * expect
+        assert abs(b - expect) <= 4e-15 * expect
+        assert abs(b - dense.b_up_dn) <= 1e-13 * expect
+        assert dense.c_up_dn.real == 1.0 - dense.b_up_dn
 
 
 class TestPairStatistics:
