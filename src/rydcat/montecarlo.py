@@ -10,6 +10,7 @@ the campaign a run belongs to.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, replace
 
@@ -49,16 +50,20 @@ class MonteCarloConfig:
     workers: int | None = None
 
     def __post_init__(self):
+        for name in ("n_atoms", "n_runs", "seed"):
+            _integer(name, getattr(self, name))
         if self.n_atoms < 2:
             raise ParameterError(f"n_atoms must be >= 2, got {self.n_atoms!r}")
         if self.n_runs < 2:
             raise ParameterError(f"n_runs must be >= 2, got {self.n_runs!r}")
-        if self.wavelength <= 0.0:
+        if not 0.0 < self.wavelength < np.inf:
             raise ParameterError(
-                f"wavelength must be > 0, got {self.wavelength!r}"
+                f"wavelength must be finite and > 0, got {self.wavelength!r}"
             )
-        if len(self.sigmas) != 3 or any(s <= 0.0 for s in self.sigmas):
-            raise ParameterError("sigmas must be three positive lengths")
+        if len(self.sigmas) != 3 or not all(0.0 < s < np.inf for s in self.sigmas):
+            raise ParameterError("sigmas must be three finite positive lengths")
+        if not np.all(np.isfinite(self.direction)):
+            raise ParameterError(f"direction must be finite, got {self.direction!r}")
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must fit in an unsigned 64-bit integer")
         if self.workers is not None and self.workers < 1:
@@ -83,6 +88,14 @@ class MonteCarloConfig:
         return max(1, workers)
 
 
+def _integer(name: str, value) -> int:
+    # Python and numpy integers pass; 20.0 and 1.5 do not.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _stream_state(seed: int, stream: int) -> dict:
     # Philox at counter 0 keyed by (seed, stream): the state a fresh
     # Philox(key=[seed, stream]) starts in, without its entropy draw.
@@ -105,7 +118,7 @@ def _sample_group(config: MonteCarloConfig, k_in: np.ndarray, streams: range):
         bitgen.state = _stream_state(config.seed, stream)
         gen.standard_normal(out=cloud)
     positions *= config.effective_sigmas
-    c, b, s12, s12_sq = collective_pairs(positions, k_in, config.polarization.jones)
+    c, b, s12, s12_sq, _ = collective_pairs(positions, k_in, config.polarization.jones)
     return b, c, s12, s12_sq
 
 
@@ -234,15 +247,15 @@ def power_law_study(
     """
     if n_grid is None:
         n_grid = range(3, 31)
-    n_values = [int(n) for n in n_grid]
+    n_values = [_integer("each atom number", n) for n in n_grid]
     if len(n_values) < 2:
         raise ParameterError("n_grid must contain at least two atom numbers")
     if any(n < 2 for n in n_values):
         raise ParameterError("atom numbers must be >= 2")
     if any(n >= 2**32 for n in n_values):
         raise ParameterError("atom numbers must fit in 32 bits for stream keying")
-    if runs_budget <= 0.0:
-        raise ParameterError(f"runs_budget must be > 0, got {runs_budget!r}")
+    if not 0.0 < runs_budget < np.inf:
+        raise ParameterError(f"runs_budget must be finite and > 0, got {runs_budget!r}")
     b_mean = np.empty(len(n_values))
     b_sem = np.empty(len(n_values))
     runs = np.empty(len(n_values), dtype=int)

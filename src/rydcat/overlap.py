@@ -88,6 +88,8 @@ class AtomCloud:
             )
         if positions.shape[0] < 2:
             raise ParameterError("need at least two atoms")
+        if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(k_in))):
+            raise ParameterError("positions and k_in must be finite")
         if k_in.shape != (3,):
             raise ParameterError(f"k_in must have shape (3,), got {k_in.shape}")
         if np.linalg.norm(k_in) == 0.0:
@@ -209,27 +211,6 @@ def tile_clouds(n_atoms: int) -> int:
     pairs; a larger cloud is split over several tiles of its own.
     """
     return max(1, _TILE_PAIRS // (n_atoms * (n_atoms - 1) // 2))
-
-
-def pair_overlaps(
-    positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray
-) -> np.ndarray:
-    """Overlaps of the atom pairs i < j of each cloud in a stack.
-
-    ``positions`` has shape (R, N, 3); the result has shape (R, P) with
-    P = N(N - 1)/2, pairs in ``np.triu_indices(N, 1)`` order.  The other
-    triangle of each matrix is the complex conjugate, so it is never
-    evaluated.  Every pair goes through the same elementwise arithmetic
-    whatever the stack, so a cloud's overlaps do not depend on R.
-    """
-    r, n, _ = positions.shape
-    flat = positions.reshape(r * n, 3)
-    i, j, _ = _pair_block(n, 0, n - 1, r)
-    pairs = _pair_kernel(
-        np.ascontiguousarray(flat.T), _drive_phase(flat, k_in), i, j,
-        float(np.linalg.norm(k_in)), jones,
-    )
-    return pairs.reshape(r, -1)
 
 
 def _pair_kernel(coords, phase, i, j, wavenumber, jones):
@@ -366,29 +347,45 @@ def _row_blocks(n_atoms: int) -> tuple[tuple[int, int], ...]:
     return tuple(blocks)
 
 
-def _upper_pairs(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    # np.triu_indices(n_atoms, 1), shared read-only.
-    return _pair_block(n_atoms, 0, n_atoms - 1, 1)[:2]
+def _tiles(n_atoms: int, clouds: int):
+    # Pair tiles of ``clouds`` stacked clouds of ``n_atoms`` atoms, one per
+    # row block: (start, stop, i, j, row_starts) as ``_pair_block`` gives
+    # them.  Index blocks are cached for a full tile of clouds and cut to
+    # ``clouds`` here, so a campaign's last, partial tile adds no entry.
+    stacked = max(clouds, tile_clouds(n_atoms))
+    for start, stop in _row_blocks(n_atoms):
+        i, j, row_starts = _pair_block(n_atoms, start, stop, stacked)
+        size = clouds * (i.size // stacked)
+        yield start, stop, i[:size], j[:size], row_starts[:clouds * (stop - start)]
 
 
-def hermitian_stack(pairs: np.ndarray, n_atoms: int) -> np.ndarray:
-    """The (R, N, N) overlap matrices of stacked pair overlaps.
-
-    Unit diagonal, ``pairs`` above it and their conjugates below.
-    """
-    iu, ju = _upper_pairs(n_atoms)
-    s = np.empty((pairs.shape[0], n_atoms, n_atoms), dtype=complex)
-    s[:, iu, ju] = pairs
-    s[:, ju, iu] = pairs.conj()
-    diag = np.arange(n_atoms)
-    s[:, diag, diag] = 1.0
-    return s
+def _tile_overlaps(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray):
+    # ``_tiles`` of the stacked clouds ``positions`` (R, N, 3), each with
+    # its pairs' overlaps appended; a pair's bits depend on its atoms alone.
+    r, n, _ = positions.shape
+    flat = positions.reshape(r * n, 3)
+    coords = np.ascontiguousarray(flat.T)
+    phase = _drive_phase(flat, k_in)
+    wavenumber = float(np.linalg.norm(k_in))
+    for start, stop, i, j, row_starts in _tiles(n, r):
+        pairs = _pair_kernel(coords, phase, i, j, wavenumber, jones)
+        yield start, stop, i, j, row_starts, pairs
 
 
 def overlap_matrix(cloud: AtomCloud, polarization: Polarization) -> OverlapMatrix:
-    """All pairwise overlaps of the cloud, at fixed positions."""
-    pairs = pair_overlaps(cloud.positions[None], cloud.k_in, polarization.jones)
-    return OverlapMatrix(s=hermitian_stack(pairs, cloud.n_atoms)[0])
+    """All pairwise overlaps of the cloud, at fixed positions.
+
+    Filled one pair tile at a time: the pairs i < j are evaluated, their
+    conjugates fill the other triangle, and the diagonal is 1.
+    """
+    n = cloud.n_atoms
+    s = np.empty((n, n), dtype=complex)
+    tiles = _tile_overlaps(cloud.positions[None], cloud.k_in, polarization.jones)
+    for *_, i, j, _, pairs in tiles:
+        s[i, j] = pairs
+        s[j, i] = np.conjugate(pairs, out=pairs)
+    np.fill_diagonal(s, 1.0)
+    return OverlapMatrix(s=s)
 
 
 def _check_overlap_magnitude(c: complex) -> None:
@@ -415,29 +412,14 @@ class CollectiveOverlap:
         _check_overlap_magnitude(self.c_up_dn)
 
 
-def collective_stack(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce a stack of pairwise matrices to the branch overlaps.
-
-    ``s`` has shape (R, N, N); returns the overlaps ``c_up_dn`` (R,), the
-    mismatches ``b_up_dn`` (R,) and the punctured-mode normalizations
-    ``per_atom`` (R, N).  The dense reference of ``collective_pairs``:
-    both finish in ``_branch_overlap``, this one from the matrices' row
-    sums and quadratic forms.
-    """
-
-    def quadratic(eps):
-        return (eps[:, None, :] @ s.real @ eps[:, :, None])[:, 0, 0]
-
-    return _branch_overlap(s.sum(axis=2), quadratic)
-
-
 def _branch_overlap(row, quadratic):
     """Branch overlaps of R clouds from their matrices' row sums.
 
     ``row`` (R, N) holds each matrix's complex row sums and
     ``quadratic(eps)`` returns eps^T Re(S) eps for each member of a real
-    (R, N) ``eps``.  Returns ``c_up_dn``, ``b_up_dn`` and ``per_atom`` as
-    ``collective_stack`` does.
+    (R, N) ``eps``.  Returns the overlaps ``c_up_dn`` (R,), the mismatches
+    ``b_up_dn`` (R,) and the punctured-mode normalizations ``per_atom``
+    (R, N).
 
     The transparent branch radiates the fully symmetric collective mode,
     of norm n_dn = 1^T S 1.  In the blockaded branch the excited atom
@@ -494,7 +476,8 @@ def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray)
     """Branch overlaps and pair moments of stacked clouds, from their pairs.
 
     ``positions`` has shape (R, N, 3).  Returns ``c_up_dn``, ``b_up_dn``,
-    the mean pair overlap and the mean squared pair magnitude, each (R,).
+    the mean pair overlap and the mean squared pair magnitude, each (R,),
+    and the punctured-mode normalizations ``per_atom`` (R, N).
     The pairs i < j are evaluated tile by tile, each tile a block of
     rows of the triu order of every cloud, and reduced on the spot: row
     sums above the diagonal by ``np.add.reduceat`` (their total is the
@@ -506,29 +489,13 @@ def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray)
     other clouds of the stack.
     """
     r, n, _ = positions.shape
-    flat = positions.reshape(r * n, 3)
-    coords = np.ascontiguousarray(flat.T)
-    phase = _drive_phase(flat, k_in)
-    wavenumber = float(np.linalg.norm(k_in))
-    blocks = _row_blocks(n)
-    # Index blocks are cached for a full tile of clouds and cut to the r
-    # clouds here, so a campaign's last, partial tile adds no entry.
-    stacked = max(r, tile_clouds(n))
-
-    def block(start, stop):
-        i, j, row_starts = _pair_block(n, start, stop, stacked)
-        size = r * (i.size // stacked)
-        return i[:size], j[:size], row_starts[:r * (stop - start)]
-
     upper = np.zeros((r, n), dtype=complex)
     lower_re = np.zeros(r * n)
     lower_im = np.zeros(r * n)
     total_sq = np.zeros(r)
     real_parts = np.empty(r * (n * (n - 1) // 2))
     offset = 0
-    for start, stop in blocks:
-        i, j, row_starts = block(start, stop)
-        s = _pair_kernel(coords, phase, i, j, wavenumber, jones)
+    for start, stop, _, j, row_starts, s in _tile_overlaps(positions, k_in, jones):
         re = real_parts[offset:offset + s.size]
         re[:] = s.real
         im = s.imag
@@ -547,8 +514,7 @@ def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray)
         flat_eps = eps.ravel()
         cross = np.zeros(r)
         offset = 0
-        for start, stop in blocks:
-            i, j, row_starts = block(start, stop)
+        for _, _, i, j, row_starts in _tiles(n, r):
             part = np.take(flat_eps, j)
             part *= real_parts[offset:offset + j.size]
             part = np.add.reduceat(part, row_starts)
@@ -557,19 +523,26 @@ def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray)
             offset += j.size
         return (eps * eps).sum(axis=1) + 2.0 * cross
 
-    c, b, _ = _branch_overlap(row, quadratic)
+    c, b, per_atom = _branch_overlap(row, quadratic)
     count = n * (n - 1) // 2
-    return c, b, upper.sum(axis=1) / count, total_sq / count
+    return c, b, upper.sum(axis=1) / count, total_sq / count, per_atom
 
 
 def collective_from_matrix(matrix: OverlapMatrix) -> CollectiveOverlap:
-    """Reduce the pairwise matrix to the branch overlap.
+    """Reduce a given pairwise matrix to the branch overlap, densely.
 
-    The one-matrix case of ``collective_stack``.
+    The dense reference of ``collective_pairs``: both finish in
+    ``_branch_overlap``, this one from the matrix's row sums and
+    quadratic form.
     """
     if matrix.n_atoms < 2:
         raise ParameterError("need at least two atoms")
-    c, b, per_atom = collective_stack(matrix.s[None])
+    s = matrix.s[None]
+
+    def quadratic(eps):
+        return (eps[:, None, :] @ s.real @ eps[:, :, None])[:, 0, 0]
+
+    c, b, per_atom = _branch_overlap(s.sum(axis=2), quadratic)
     return CollectiveOverlap(
         c_up_dn=complex(c[0]), b_up_dn=float(b[0]), per_atom=per_atom[0]
     )
@@ -578,8 +551,16 @@ def collective_from_matrix(matrix: OverlapMatrix) -> CollectiveOverlap:
 def collective_overlap(
     cloud: AtomCloud, polarization: Polarization
 ) -> CollectiveOverlap:
-    """Branch overlap of a cloud, straight from the positions."""
-    return collective_from_matrix(overlap_matrix(cloud, polarization))
+    """Branch overlap of a cloud, straight from the positions.
+
+    The one-cloud case of ``collective_pairs``; no N x N matrix is formed.
+    """
+    c, b, _, _, per_atom = collective_pairs(
+        cloud.positions[None], cloud.k_in, polarization.jones
+    )
+    return CollectiveOverlap(
+        c_up_dn=complex(c[0]), b_up_dn=float(b[0]), per_atom=per_atom[0]
+    )
 
 
 def pair_statistics(matrix: OverlapMatrix) -> tuple[complex, float]:
@@ -587,6 +568,5 @@ def pair_statistics(matrix: OverlapMatrix) -> tuple[complex, float]:
     n = matrix.n_atoms
     if n < 2:
         raise ParameterError("need at least two atoms")
-    iu, ju = _upper_pairs(n)
-    pairs = matrix.s[iu, ju]
+    pairs = matrix.s[np.triu_indices(n, 1)]
     return complex(pairs.mean()), float(np.mean(np.abs(pairs) ** 2))

@@ -70,6 +70,20 @@ class TestExitCodes:
         assert cli.main(["headline", "--eta-esc", "1.5"]) == 2
         assert "eta_esc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--wavelength", "nan"],
+        ["mc", "--sigmas", "inf,1,1"],
+        ["mc", "--sigmas", "1,nan,1"],
+        ["figure4", "--runs-budget", "nan"],
+        ["figure4", "--runs-budget", "inf"],
+        ["figure4", "--wavelength", "inf"],
+    ])
+    def test_non_finite_value_is_two(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid parameter" in captured.err
+
     def test_numerical_error_is_three(self, capsys, monkeypatch):
         def explode(run, args):
             raise NumericalError("synthetic")

@@ -6,6 +6,7 @@ import pytest
 
 import rydcat.montecarlo as montecarlo
 from rydcat import (
+    AtomCloud,
     MonteCarloConfig,
     ParameterError,
     Polarization,
@@ -13,7 +14,7 @@ from rydcat import (
     run_monte_carlo,
 )
 from rydcat.bessel import j0_stable, j2_stable
-from rydcat.overlap import _drive_phase, legendre_p2, pair_overlaps
+from rydcat.overlap import _drive_phase, legendre_p2, overlap_matrix
 
 
 def small_config(**overrides):
@@ -50,11 +51,27 @@ class TestConfig:
             dict(seed=-1),
             dict(seed=2**64),
             dict(workers=0),
+            dict(wavelength=float("nan")),
+            dict(wavelength=float("inf")),
+            dict(sigmas=(float("inf"), 1.0, 1.0)),
+            dict(sigmas=(1.0, float("nan"), 1.0)),
+            dict(direction=(0.0, float("nan"), -1.0)),
+            dict(direction=(float("inf"), 0.0, -1.0)),
+            dict(n_atoms=20.0),
+            dict(n_runs=8.0),
+            dict(seed=1.5),
+            dict(seed=np.float64(1.0)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
             MonteCarloConfig(**kwargs)
+
+    def test_numpy_integers_pass(self):
+        config = MonteCarloConfig(n_atoms=np.int64(6), n_runs=np.int32(3),
+                                  seed=np.uint64(7))
+        plain = MonteCarloConfig(n_atoms=6, n_runs=3, seed=7)
+        assert run_monte_carlo(config).b.tobytes() == run_monte_carlo(plain).b.tobytes()
 
     def test_explicit_workers_override_environment(self, monkeypatch):
         monkeypatch.setenv("RYDCAT_WORKERS", "6")
@@ -155,6 +172,12 @@ class TestPowerLawStudy:
             power_law_study(cfg, n_grid=[1, 5])
         with pytest.raises(ParameterError):
             power_law_study(cfg, n_grid=[3, 4], runs_budget=0.0)
+        for budget in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                power_law_study(cfg, n_grid=[3, 4], runs_budget=budget)
+        for grid in ([3, 4.5], [3.0, 4], np.array([3.0, 4.0])):
+            with pytest.raises(ParameterError):
+                power_law_study(cfg, n_grid=grid, runs_budget=50.0)
 
 
 # The per-run path as it was before runs were stacked and before the
@@ -315,8 +338,10 @@ def test_pairs_match_direct_phase(geometry, n):
                               **GEOMETRIES[geometry])
     key = np.array([config.seed, 0], dtype=np.uint64)
     pos, k_in, direct = reference_matrix(config, key, direct_phase=True)
-    pairs = pair_overlaps(pos[None], k_in, config.polarization.jones)[0]
+    matrix = overlap_matrix(AtomCloud(positions=pos, k_in=k_in),
+                            config.polarization)
     iu, ju = np.triu_indices(n, k=1)
+    pairs = matrix.s[iu, ju]
     assert np.max(np.abs(pairs - direct[iu, ju])) <= 1e-13
 
 

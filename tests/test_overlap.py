@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,13 +24,11 @@ from rydcat import (
 from rydcat.bessel import _TAYLOR_CUTOFF
 from rydcat.overlap import (
     _TILE_PAIRS,
+    _branch_overlap,
     _pair_block,
     _row_blocks,
     collective_pairs,
-    collective_stack,
-    hermitian_stack,
     incident_wavevector,
-    pair_overlaps,
     tile_clouds,
 )
 
@@ -129,6 +128,15 @@ class TestAtomCloud:
             AtomCloud.sample(5, (1, 1, 1), 1.0, np.random.default_rng(0),
                              direction=(0, 0, 0))
 
+    @pytest.mark.parametrize("bad", ["positions", "k_in"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad, value):
+        fields = {"positions": np.zeros((3, 3)), "k_in": np.array([0.0, 0.0, 1.0])}
+        fields[bad] = fields[bad].copy()
+        fields[bad][-1] = value
+        with pytest.raises(ParameterError):
+            AtomCloud(**fields)
+
 
 class TestPairOverlapsOracle:
     # Pairs of a reference cloud (N = 260) against a 40-digit evaluation
@@ -150,7 +158,8 @@ class TestPairOverlapsOracle:
     def max_error(self, pos, picks):
         jones = Polarization.circular().jones
         iu, ju = np.triu_indices(pos.shape[0], k=1)
-        got = pair_overlaps(pos[None], self.K_IN, jones)[0]
+        cloud = AtomCloud(positions=pos, k_in=self.K_IN)
+        got = overlap_matrix(cloud, Polarization.circular()).s[iu, ju]
         assert np.linalg.norm(self.K_IN) * np.linalg.norm(pos[0] - pos[1]) \
             < _TAYLOR_CUTOFF
         coincident = iu.tolist().index(2)  # the pair (2, 3)
@@ -177,15 +186,12 @@ class TestPairOverlapsOracle:
 
 
 def test_pair_indices_are_shared_read_only():
-    from rydcat.overlap import _upper_pairs
-
-    iu, ju = _upper_pairs(7)
-    assert _upper_pairs(7)[0] is iu
-    assert not iu.flags.writeable and not ju.flags.writeable
+    iu, ju, row_starts = _pair_block(7, 0, 6, 1)
+    assert _pair_block(7, 0, 6, 1)[0] is iu
+    assert not any(index.flags.writeable for index in (iu, ju, row_starts))
     expect_i, expect_j = np.triu_indices(7, k=1)
     assert np.array_equal(iu, expect_i) and np.array_equal(ju, expect_j)
-    s = hermitian_stack(np.arange(21.0)[None] * (1 + 1j), 7)[0]
-    assert np.array_equal(s[expect_i, expect_j], np.arange(21.0) * (1 + 1j))
+    assert np.array_equal(row_starts, [0, 6, 11, 15, 18, 20])
 
 
 @pytest.mark.parametrize("n", [2, 3, 91, 92, 260])
@@ -229,6 +235,27 @@ class TestOverlapMatrix:
         cloud = AtomCloud.sample(n, (2.0, 2.0, 2.0), 0.78,
                                  np.random.default_rng(seed))
         return cloud, overlap_matrix(cloud, Polarization.circular())
+
+    @pytest.mark.parametrize("n", [6, 300])
+    def test_filled_tile_by_tile(self, n):
+        # N = 300 spans 12 row blocks; the first and last pair of every
+        # block and a random sample are checked against the lone pair.
+        cloud, matrix = self.make(n=n)
+        s = matrix.s
+        blocks = _row_blocks(n)
+        assert (len(blocks) > 1) == (n == 300)
+        assert np.array_equal(s, s.conj().T)
+        assert np.all(np.diagonal(s) == 1.0)
+        rng = np.random.default_rng(n)
+        picks = [(start, start + 1) for start, _ in blocks]
+        picks += [(stop - 1, n - 1) for _, stop in blocks]
+        picks += [tuple(sorted(rng.choice(n, 2, replace=False)))
+                  for _ in range(100)]
+        pol = Polarization.circular()
+        for i, j in picks:
+            expect = pair_overlap(cloud.positions[i], cloud.positions[j],
+                                  cloud.k_in, pol)
+            assert s[i, j] == pytest.approx(expect, abs=1e-13)
 
     def test_exactly_hermitian_unit_diagonal(self):
         _, matrix = self.make()
@@ -303,19 +330,29 @@ class TestCollectiveOverlap:
 
 
 class TestCollectiveStack:
-    # A stacked reduction must fail on a bad member exactly as the
-    # one-matrix reduction fails on that member alone.
+    # collective_pairs reduces whole tiles of clouds in one
+    # _branch_overlap call, so a stacked reduction must fail on a bad
+    # member exactly as the one-matrix reduction fails on that member
+    # alone.  The stack is fed to _branch_overlap as dense row sums and
+    # quadratic forms.
     def good(self, seed):
         cloud = AtomCloud.sample(3, (1.0, 1.0, 1.0), 0.78,
                                  np.random.default_rng(seed))
         return overlap_matrix(cloud, Polarization.circular()).s
+
+    @staticmethod
+    def reduce(stack):
+        def quadratic(eps):
+            return (eps[:, None, :] @ stack.real @ eps[:, :, None])[:, 0, 0]
+
+        return _branch_overlap(stack.sum(axis=2), quadratic)
 
     def assert_same_failure(self, bad, error):
         with pytest.raises(error) as alone:
             collective_from_matrix(OverlapMatrix(s=bad))
         stack = np.stack([self.good(1), bad, self.good(2)])
         with pytest.raises(error) as stacked:
-            collective_stack(stack)
+            self.reduce(stack)
         assert str(stacked.value) == str(alone.value)
 
     def test_punctured_mode_failure_matches_lone_member(self):
@@ -332,7 +369,7 @@ class TestCollectiveStack:
 
     def test_members_reduce_as_alone(self):
         stack = np.stack([self.good(seed) for seed in range(4)])
-        c, b, per_atom = collective_stack(stack)
+        c, b, per_atom = self.reduce(stack)
         for i, s in enumerate(stack):
             alone = collective_from_matrix(OverlapMatrix(s=s))
             assert c[i] == alone.c_up_dn
@@ -342,10 +379,10 @@ class TestCollectiveStack:
 
 class TestPairListReduction:
     # collective_pairs (the Monte Carlo's reduction, straight from the
-    # pairs, tile by tile) against the dense matrices of
-    # collective_stack, and both against the same reduction in long
-    # double.  The old b = 1 - Re c was off by 2.4e-6 relative at
-    # N = 260 and 2.9e-3 at N = 2000.
+    # pairs, tile by tile) against the dense collective_from_matrix, and
+    # both against the same reduction in long double.  The old
+    # b = 1 - Re c was off by 2.4e-6 relative at N = 260 and 2.9e-3 at
+    # N = 2000.
     POL = Polarization.circular()
 
     def clouds(self, n, count, seed):
@@ -358,18 +395,21 @@ class TestPairListReduction:
         clouds = self.clouds(n, 3, n)
         positions = np.stack([cloud.positions for cloud in clouds])
         k_in = clouds[0].k_in
-        c, b, mean, mean_sq = collective_pairs(positions, k_in,
-                                               self.POL.jones)
-        pairs = pair_overlaps(positions, k_in, self.POL.jones)
-        dense_c, dense_b, _ = collective_stack(hermitian_stack(pairs, n))
-        scale = np.maximum(dense_b, 1e-300)
-        assert np.all(np.abs(b - dense_b) <= 1e-13 * scale)
-        assert np.max(np.abs(c - dense_c)) <= 1e-15
+        c, b, mean, mean_sq, per_atom = collective_pairs(positions, k_in,
+                                                         self.POL.jones)
         assert np.array_equal(c.real, 1.0 - b)
-        assert np.array_equal(dense_c.real, 1.0 - dense_b)
-        assert np.max(np.abs(mean - pairs.mean(axis=1))) <= 1e-16
-        assert np.allclose(mean_sq, np.mean(np.abs(pairs) ** 2, axis=1),
-                           rtol=1e-13, atol=0.0)
+        iu, ju = np.triu_indices(n, k=1)
+        for m, cloud in enumerate(clouds):
+            matrix = overlap_matrix(cloud, self.POL)
+            dense = collective_from_matrix(matrix)
+            pairs = matrix.s[iu, ju]
+            assert abs(b[m] - dense.b_up_dn) <= 1e-13 * max(dense.b_up_dn, 1e-300)
+            assert abs(c[m] - dense.c_up_dn) <= 1e-15
+            assert dense.c_up_dn.real == 1.0 - dense.b_up_dn
+            assert np.allclose(per_atom[m], dense.per_atom, rtol=1e-13, atol=0.0)
+            assert abs(mean[m] - pairs.mean()) <= 1e-16
+            assert mean_sq[m] == pytest.approx(np.mean(np.abs(pairs) ** 2),
+                                               rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [260, 1000, 2000])
     def test_long_double_oracle(self, n):
@@ -386,6 +426,24 @@ class TestPairListReduction:
         assert abs(b - expect) <= 4e-15 * expect
         assert abs(b - dense.b_up_dn) <= 1e-13 * expect
         assert dense.c_up_dn.real == 1.0 - dense.b_up_dn
+
+
+@pytest.mark.parametrize("reduce, limit", [
+    (overlap_matrix, 1.15 * 16 * 2000**2),  # the matrix itself, plus a tile
+    (collective_overlap, 12 * (2000 * 1999 // 2)),  # 12 B per pair
+], ids=["overlap_matrix", "collective_overlap"])
+def test_traced_peak_memory_of_one_cloud(reduce, limit):
+    # numpy reports its buffers to tracemalloc.  Beyond its own 16 B N^2
+    # (or 8 B per pair for the pair list), a call holds one tile of pairs.
+    cloud = AtomCloud.sample(2000, (3.3, 4.5, 1.7), 0.78,
+                             np.random.default_rng(2000))
+    tracemalloc.start()
+    try:
+        reduce(cloud, Polarization.circular())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 class TestPairStatistics:

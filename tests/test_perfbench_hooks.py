@@ -1,13 +1,16 @@
-"""The benchmark's tracer must still find every layer it wraps.
+"""The benchmark must still run against the package.
 
 ``perfbench/tracer.py`` patches rydcat functions by name; a rename in
-the package would silently leave a layer untraced.
+the package would silently leave a layer untraced.  The workloads in
+``perfbench/workloads.py`` call rydcat names and fields directly; a
+deleted one would otherwise show only when the benchmark is run.
 """
 
 import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +47,21 @@ def test_tracer_layers_resolve_and_install(monkeypatch):
     untraced = montecarlo.run_monte_carlo(
         montecarlo.MonteCarloConfig(n_atoms=5, n_runs=3))
     assert np.array_equal(result.b, untraced.b)
+
+
+@pytest.mark.parametrize("name", ["mc-ref", "scan-small", "closed-form"])
+def test_in_process_workload_runs_and_checks(monkeypatch, name):
+    # Built at its tiny size from seed 0, one op at 1 and one at 2
+    # workers; the workload's own check must find nothing, including
+    # that the second op repeats the first bit for bit.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    assert workload.in_process
+    inputs = workload.build(0, True)
+    refs = workload.prepare(inputs)
+    first = None
+    for workers in (1, 2):
+        result = workload.op(inputs, workers)
+        assert workload.check(inputs, refs, result, first) == []
+        if first is None:
+            first = result
