@@ -144,7 +144,7 @@ def generate_cat(
     """
     if not 0.0 <= v0 <= 1.0:
         raise ParameterError(f"v0 must be in [0, 1], got {v0!r}")
-    if abs(radiated_mode_overlap) > 1.0 + 1e-12:
+    if not abs(radiated_mode_overlap) <= 1.0 + 1e-12:
         raise ParameterError("radiated_mode_overlap magnitude cannot exceed 1")
     up = output_amplitudes(params, QubitBranch.UP, alpha_in)
     dn = output_amplitudes(params, QubitBranch.DOWN, alpha_in)

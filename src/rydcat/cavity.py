@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _require_nonnegative, _require_positive
 
 
 class _FarDetuned:
@@ -50,16 +50,6 @@ class QubitBranch(Enum):
 
     UP = "up"    # stored excitation present: blockaded, two-level response
     DOWN = "dn"  # no excitation: EIT active
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ParameterError(f"{name} must be > 0, got {value!r}")
-
-
-def _require_nonnegative(name: str, value: float) -> None:
-    if not value >= 0:
-        raise ParameterError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +158,7 @@ class OutputAmplitudes:
 
     def __post_init__(self):
         scale = max(abs(self.alpha_in) ** 2, 1e-300)
-        if abs(self.energy_residual) > 1e-12 * scale:
+        if not abs(self.energy_residual) <= 1e-12 * scale:
             raise ParameterError(
                 "output amplitudes violate energy conservation: "
                 f"residual {self.energy_residual!r} for |alpha_in|^2 {scale!r}"

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,16 +38,6 @@ _WORKERS_HELP = (
     "has no effect: checked (>= 1), but runs are evaluated in one thread "
     "whatever its value or RYDCAT_WORKERS"
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Global plumbing shared by all subcommands."""
-
-    command: str
-    seed: int
-    out: str | None
-    fmt: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,26 +135,35 @@ def _kv_table(results: dict) -> dict:
     return {"names": ["key", "value"], "rows": list(results.items())}
 
 
-def _meta(run: RunConfig) -> dict:
-    return {"command": run.command, "seed": run.seed, "version": __version__}
+def _meta(args) -> dict:
+    return {"command": args.command, "seed": args.seed, "version": __version__}
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when it is None or ``-``."""
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
 
 
 def _emit(
-    run: RunConfig,
+    args,
     table: dict | None = None,
     results: dict | None = None,
-    extras: dict | None = None,
+    fit: dict | None = None,
 ) -> None:
     """Write the payload in the chosen format.
 
     ``table`` is a column table, ``results`` a flat key-value block
-    (rendered as a two-column table in CSV), and ``extras`` holds
-    blocks such as fit summaries that only appear in JSON output.
+    (rendered as a two-column table in CSV), and ``fit`` a fit summary
+    that appears only in JSON output and in the ``--fit-out`` file.
     """
-    if run.fmt == "csv":
+    if args.format == "csv":
         text = _render_csv(table if table is not None else _kv_table(results or {}))
     else:
-        payload: dict = {"meta": _meta(run)}
+        payload: dict = {"meta": _meta(args)}
         if table is not None:
             payload["columns"] = {
                 name: [_jsonable(row[i]) for row in table["rows"]]
@@ -173,20 +171,13 @@ def _emit(
             }
         if results is not None:
             payload["results"] = _jsonable(results)
-        for key, value in (extras or {}).items():
-            payload[key] = _jsonable(value)
+        if fit is not None:
+            payload["fit"] = _jsonable(fit)
         text = json.dumps(payload, indent=2) + "\n"
-    if run.out is None or run.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(run.out, "w", newline="") as fh:
-            fh.write(text)
-
-
-def _write_fit(run: RunConfig, path: str, fit: dict) -> None:
-    payload = {"meta": _meta(run), "fit": _jsonable(fit)}
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    _write(args.out, text)
+    if fit is not None and args.fit_out:
+        payload = {"meta": _meta(args), "fit": _jsonable(fit)}
+        _write(args.fit_out, json.dumps(payload, indent=2) + "\n")
 
 
 def _branches(choice: str) -> list[QubitBranch]:
@@ -197,7 +188,7 @@ def _branches(choice: str) -> list[QubitBranch]:
     return [QubitBranch.UP, QubitBranch.DOWN]
 
 
-def cmd_amplitudes(run: RunConfig, args) -> None:
+def cmd_amplitudes(args) -> None:
     params = CavityParams.from_coupling_strength(
         args.eta_esc, args.cooperativity, args.lambda_dn
     )
@@ -229,37 +220,42 @@ def cmd_amplitudes(run: RunConfig, args) -> None:
         ],
         "rows": rows,
     }
-    _emit(run, table)
+    _emit(args, table)
 
 
-def cmd_figure2(run: RunConfig, args) -> None:
+def cmd_figure2(args) -> None:
     sweep = sweep_loss_vs_coupling(args.eta_esc, args.cooperativity, args.lambda_grid)
     names = list(sweep)
     rows = [
         [sweep[name][i] for name in names] for i in range(len(args.lambda_grid))
     ]
-    _emit(run, {"names": names, "rows": rows})
+    _emit(args, {"names": names, "rows": rows})
 
 
-def cmd_figure3(run: RunConfig, args) -> None:
+def cmd_figure3(args) -> None:
     rows = []
     for projection in args.projections:
         values = pair_overlap_projected(args.kx_grid, projection)
         for kx, v in zip(args.kx_grid, np.atleast_1d(values)):
             rows.append([kx, projection, v])
-    _emit(run, {"names": ["kx", "projection", "v"], "rows": rows})
+    _emit(args, {"names": ["kx", "projection", "v"], "rows": rows})
 
 
-def cmd_figure4(run: RunConfig, args) -> None:
-    config = MonteCarloConfig(
+def _cloud_config(args, **fields) -> MonteCarloConfig:
+    """Monte Carlo configuration from the cloud options, plus ``fields``."""
+    return MonteCarloConfig(
         sigmas=args.sigmas,
         wavelength=args.wavelength,
         polarization=_POLARIZATIONS[args.polarization](),
-        seed=run.seed,
+        seed=args.seed,
         isotropic=args.isotropic,
         workers=args.workers,
+        **fields,
     )
-    study = power_law_study(config, args.n_grid, args.runs_budget)
+
+
+def cmd_figure4(args) -> None:
+    study = power_law_study(_cloud_config(args), args.n_grid, args.runs_budget)
     rows = [
         [int(study.n_atoms[i]), study.b_mean[i], study.b_sem[i], int(study.runs[i])]
         for i in range(study.n_atoms.size)
@@ -270,12 +266,10 @@ def cmd_figure4(run: RunConfig, args) -> None:
         "c3_err": study.c3_err,
         "free_slope": study.free_slope,
     }
-    _emit(run, table=table, extras={"fit": fit})
-    if args.fit_out:
-        _write_fit(run, args.fit_out, fit)
+    _emit(args, table=table, fit=fit)
 
 
-def cmd_headline(run: RunConfig, args) -> None:
+def cmd_headline(args) -> None:
     params = CavityParams.from_coupling_strength(
         args.eta_esc, args.cooperativity, max(1.0, args.cooperativity)
     )
@@ -287,7 +281,7 @@ def cmd_headline(run: RunConfig, args) -> None:
             "l_cav": 1.0 - eta**2,
             "l_ell": eta * (1.0 - eta),
         }
-        _emit(run, results=results)
+        _emit(args, results=results)
         return
     budget = loss_budget(params)
     if params.eta_esc == 1.0 and params.cooperativity >= 1.0:
@@ -302,10 +296,10 @@ def cmd_headline(run: RunConfig, args) -> None:
         "a_mode": budget.a_mode,
         "l_gen_ratio": budget.l_gen / (1.0 - budget.l_gen),
     }
-    _emit(run, results=results)
+    _emit(args, results=results)
 
 
-def cmd_xcheck(run: RunConfig, args) -> None:
+def cmd_xcheck(args) -> None:
     params = CavityParams.from_coupling_strength(
         args.eta_esc, args.cooperativity, args.lambda_dn
     )
@@ -330,22 +324,11 @@ def cmd_xcheck(run: RunConfig, args) -> None:
         "rows": rows,
     }
     fit = {"slope": study.slope}
-    _emit(run, table=table, extras={"fit": fit})
-    if args.fit_out:
-        _write_fit(run, args.fit_out, fit)
+    _emit(args, table=table, fit=fit)
 
 
-def cmd_mc(run: RunConfig, args) -> None:
-    config = MonteCarloConfig(
-        n_atoms=args.n_atoms,
-        sigmas=args.sigmas,
-        wavelength=args.wavelength,
-        polarization=_POLARIZATIONS[args.polarization](),
-        n_runs=args.n_runs,
-        seed=run.seed,
-        isotropic=args.isotropic,
-        workers=args.workers,
-    )
+def cmd_mc(args) -> None:
+    config = _cloud_config(args, n_atoms=args.n_atoms, n_runs=args.n_runs)
     result = run_monte_carlo(config)
     results = {
         "n_atoms": config.n_atoms,
@@ -353,16 +336,28 @@ def cmd_mc(run: RunConfig, args) -> None:
         "isotropic": config.isotropic,
         **result.summary(),
     }
-    _emit(run, results=results)
+    _emit(args, results=results)
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """Return the top-level parser and the subparser of each command."""
+def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=_seed_value, default=0)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--config", default=None, help=argparse.SUPPRESS)
+
+    cavity = _Parser(add_help=False)
+    cavity.add_argument("--eta-esc", type=float, default=0.9825)
+    cavity.add_argument("--cooperativity", type=float, default=21.0)
+
+    cloud = _Parser(add_help=False)
+    cloud.add_argument("--sigmas", type=_float_triple, default="3.3,4.5,1.7")
+    cloud.add_argument("--wavelength", type=float, default=0.78)
+    cloud.add_argument(
+        "--polarization", choices=sorted(_POLARIZATIONS), default="circular"
+    )
+    cloud.add_argument("--isotropic", action="store_true")
+    cloud.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
 
     parser = _Parser(prog="rydcat", description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -370,17 +365,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("amplitudes", parents=[common])
-    p.add_argument("--eta-esc", type=float, default=0.9825)
-    p.add_argument("--cooperativity", type=float, default=21.0)
+    p = sub.add_parser("amplitudes", parents=[common, cavity])
     p.add_argument("--lambda-dn", type=float, default=21.0)
     p.add_argument("--alpha-in", type=complex, default=1.0 + 0.0j)
     p.add_argument("--branch", choices=("up", "dn", "both"), default="both")
     p.set_defaults(func=cmd_amplitudes)
 
-    p = sub.add_parser("figure2", parents=[common])
-    p.add_argument("--eta-esc", type=float, default=0.9825)
-    p.add_argument("--cooperativity", type=float, default=21.0)
+    p = sub.add_parser("figure2", parents=[common, cavity])
     p.add_argument("--lambda-grid", type=_geom_grid, default="1:1000:400")
     p.set_defaults(func=cmd_figure2)
 
@@ -391,63 +382,44 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     p.set_defaults(func=cmd_figure3)
 
-    p = sub.add_parser("figure4", parents=[common])
+    p = sub.add_parser("figure4", parents=[common, cloud])
     p.add_argument("--n-grid", type=_int_grid, default="3:30")
     p.add_argument("--runs-budget", type=float, default=1e5)
-    p.add_argument("--sigmas", type=_float_triple, default="3.3,4.5,1.7")
-    p.add_argument("--wavelength", type=float, default=0.78)
-    p.add_argument(
-        "--polarization", choices=sorted(_POLARIZATIONS), default="circular"
-    )
-    p.add_argument("--isotropic", action="store_true")
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--fit-out", default=None)
     p.set_defaults(func=cmd_figure4)
 
-    p = sub.add_parser("headline", parents=[common])
-    p.add_argument("--eta-esc", type=float, default=0.9825)
-    p.add_argument("--cooperativity", type=float, default=21.0)
+    p = sub.add_parser("headline", parents=[common, cavity])
     p.add_argument("--visibility-ratio", type=float, default=math.exp(-1.0))
     p.add_argument("--lambda-inf", action="store_true")
     p.set_defaults(func=cmd_headline)
 
-    p = sub.add_parser("xcheck", parents=[common])
-    p.add_argument("--eta-esc", type=float, default=0.9825)
-    p.add_argument("--cooperativity", type=float, default=21.0)
+    p = sub.add_parser("xcheck", parents=[common, cavity])
     p.add_argument("--lambda-dn", type=float, default=21.0)
     p.add_argument("--finesse-grid", type=_geom_grid, default="1e2:1e6:5")
     p.add_argument("--fit-out", default=None)
     p.set_defaults(func=cmd_xcheck)
 
-    p = sub.add_parser("mc", parents=[common])
+    p = sub.add_parser("mc", parents=[common, cloud])
     p.add_argument("--n-atoms", type=int, default=260)
-    p.add_argument("--sigmas", type=_float_triple, default="3.3,4.5,1.7")
-    p.add_argument("--wavelength", type=float, default=0.78)
-    p.add_argument(
-        "--polarization", choices=sorted(_POLARIZATIONS), default="circular"
-    )
     p.add_argument("--n-runs", type=int, default=100)
-    p.add_argument("--isotropic", action="store_true")
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_mc)
-    return parser, sub.choices
+    return parser
 
 
-def _apply_config(path: str, command: _Parser) -> None:
-    """Make the key=value lines of a config file the command's defaults.
+def _config_tokens(args) -> list[str]:
+    """Turn the key=value lines of the ``--config`` file into flag tokens.
 
-    Keys are long option names written with ``_``; a switch takes
-    ``true`` or ``false``.  The values are parsed by the command's own
-    parser first, because argparse checks neither types nor choices of
-    defaults.  Flags on the command line still win over the file.
+    Keys are the command's long option names written with ``_``; a
+    switch takes ``true`` or ``false``.
     """
+    path = args.config
+    known = set(vars(args)) - {"command", "config", "func"}
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ParameterError(f"cannot read config file: {exc}") from exc
-    known = vars(command.parse_args([]))
-    fragment: list[str] = []
+    tokens: list[str] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -457,30 +429,29 @@ def _apply_config(path: str, command: _Parser) -> None:
                 f"{path}:{lineno}: expected key=value, got {line!r}"
             )
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        # ``func`` is the handler stored by set_defaults, not an option.
-        if dest in ("config", "func") or dest not in known:
+        if key.replace("-", "_") not in known:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
         option = "--" + key.replace("_", "-")
         lowered = value.lower()
         if lowered == "true":
-            fragment.append(option)
+            tokens.append(option)
         elif lowered != "false":
-            fragment.extend([option, value])
-    command.set_defaults(**vars(command.parse_args(fragment)))
+            tokens.extend([option, value])
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            _apply_config(args.config, commands[args.command])
-            args = parser.parse_args(argv)
-        run = RunConfig(
-            command=args.command, seed=args.seed, out=args.out, fmt=args.format
-        )
-        args.func(run, args)
+            # The file's flags go between the command and the rest of the
+            # command line, so that flags given there still win; the second
+            # parse checks their types and choices like any other flag.
+            rest = argv[argv.index(args.command) + 1:]
+            args = parser.parse_args([args.command, *_config_tokens(args), *rest])
+        args.func(args)
     except ParameterError as exc:
         print(f"rydcat: invalid parameter: {exc}", file=sys.stderr)
         return 2

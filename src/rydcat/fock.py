@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catstate import CatState
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 
 
 def default_cutoff(*alphas: complex) -> int:
@@ -37,8 +37,7 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     The returned vector has ``cutoff + 1`` entries and is not
     renormalized: its norm deficit measures the truncation error.
     """
-    if cutoff < 0:
-        raise ParameterError(f"cutoff must be >= 0, got {cutoff!r}")
+    cutoff = _integer("cutoff", cutoff, minimum=0)
     vec = np.empty(cutoff + 1, dtype=complex)
     vec[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(cutoff):
@@ -156,7 +155,7 @@ def fock_overlap_lemma_check(
     Also reports the largest deviation of the number-state Gram matrix
     ``<m_up | n_dn>`` from ``delta_mn * c_up_dn**n``.
     """
-    if abs(c_up_dn) > 1.0 + 1e-12:
+    if not abs(c_up_dn) <= 1.0 + 1e-12:
         raise ParameterError("mode overlap magnitude cannot exceed 1")
     if cutoff is None:
         cutoff = default_cutoff(alpha_up, alpha_dn)

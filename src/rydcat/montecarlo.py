@@ -10,15 +10,15 @@ the campaign a run belongs to.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 from .overlap import (
     Polarization,
+    _cloud_widths,
     collective_pairs,
     incident_wavevector,
     tile_clouds,
@@ -33,7 +33,7 @@ class MonteCarloConfig:
 
     ``isotropic`` replaces the three widths by their geometric mean,
     keeping the scaled cloud size fixed.  ``workers`` does nothing: it
-    is validated (>= 1, or None to defer to the RYDCAT_WORKERS
+    is validated (an integer >= 1, or None to defer to the RYDCAT_WORKERS
     environment variable, read by ``resolve_workers``), but runs are
     evaluated in one thread whatever its value, since on two cores a
     thread pool over the stacked runs gained nothing.
@@ -50,24 +50,14 @@ class MonteCarloConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        for name in ("n_atoms", "n_runs", "seed"):
-            _integer(name, getattr(self, name))
-        if self.n_atoms < 2:
-            raise ParameterError(f"n_atoms must be >= 2, got {self.n_atoms!r}")
-        if self.n_runs < 2:
-            raise ParameterError(f"n_runs must be >= 2, got {self.n_runs!r}")
-        if not 0.0 < self.wavelength < np.inf:
-            raise ParameterError(
-                f"wavelength must be finite and > 0, got {self.wavelength!r}"
-            )
-        if len(self.sigmas) != 3 or not all(0.0 < s < np.inf for s in self.sigmas):
-            raise ParameterError("sigmas must be three finite positive lengths")
-        if not np.all(np.isfinite(self.direction)):
-            raise ParameterError(f"direction must be finite, got {self.direction!r}")
-        if not 0 <= self.seed < 2**64:
+        _integer("n_atoms", self.n_atoms, minimum=2)
+        _integer("n_runs", self.n_runs, minimum=2)
+        if not 0 <= _integer("seed", self.seed) < 2**64:
             raise ParameterError("seed must fit in an unsigned 64-bit integer")
-        if self.workers is not None and self.workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {self.workers!r}")
+        if self.workers is not None:
+            _integer("workers", self.workers, minimum=1)
+        _cloud_widths(self.sigmas)
+        incident_wavevector(self.wavelength, self.direction)
         if self.polarization is None:
             object.__setattr__(self, "polarization", Polarization.circular())
 
@@ -86,14 +76,6 @@ class MonteCarloConfig:
         except ValueError:
             workers = 1
         return max(1, workers)
-
-
-def _integer(name: str, value) -> int:
-    # Python and numpy integers pass; 20.0 and 1.5 do not.
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _stream_state(seed: int, stream: int) -> dict:
@@ -247,11 +229,9 @@ def power_law_study(
     """
     if n_grid is None:
         n_grid = range(3, 31)
-    n_values = [_integer("each atom number", n) for n in n_grid]
+    n_values = [_integer("each atom number", n, minimum=2) for n in n_grid]
     if len(n_values) < 2:
         raise ParameterError("n_grid must contain at least two atom numbers")
-    if any(n < 2 for n in n_values):
-        raise ParameterError("atom numbers must be >= 2")
     if any(n >= 2**32 for n in n_values):
         raise ParameterError("atom numbers must fit in 32 bits for stream keying")
     if not 0.0 < runs_budget < np.inf:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import j0_j2_stable
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _integer
 
 
 def legendre_p2(x):
@@ -39,7 +39,7 @@ class Polarization:
         if jones.shape != (3,):
             raise ParameterError(f"jones must have shape (3,), got {jones.shape}")
         norm_sq = float(np.vdot(jones, jones).real)
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:
             raise ParameterError(
                 f"jones vector must be normalized, |e|^2 = {norm_sq!r}"
             )
@@ -115,11 +115,8 @@ class AtomCloud:
         direction=(0.0, 0.0, -1.0),
     ) -> "AtomCloud":
         """Draw a Gaussian cloud illuminated along ``direction``."""
-        if wavelength <= 0.0:
-            raise ParameterError(f"wavelength must be > 0, got {wavelength!r}")
-        sig = np.asarray(sigmas, dtype=float)
-        if sig.shape != (3,) or np.any(sig <= 0.0):
-            raise ParameterError("sigmas must be three positive lengths")
+        n_atoms = _integer("n_atoms", n_atoms, minimum=2)
+        sig = _cloud_widths(sigmas)
         k_in = incident_wavevector(wavelength, direction)
         # Standard normals scaled per axis: the same draws, bit for bit,
         # as rng.normal(0.0, sig, size), and the form the Monte Carlo
@@ -133,13 +130,36 @@ class AtomCloud:
 
 
 def incident_wavevector(wavelength: float, direction) -> np.ndarray:
-    """Wavevector of a drive of ``wavelength`` travelling along ``direction``."""
+    """Wavevector of a drive of ``wavelength`` travelling along ``direction``.
+
+    The one check of a drive: ``wavelength`` must be finite and > 0, and
+    ``direction`` three finite numbers, not all zero.
+    """
+    if not 0.0 < wavelength < np.inf:
+        raise ParameterError(
+            f"wavelength must be finite and > 0, got {wavelength!r}"
+        )
     direction = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        raise ParameterError("direction cannot be the zero vector")
+    norm = np.linalg.norm(direction) if direction.shape == (3,) else np.nan
+    # A NaN or infinite component, an all-zero vector and one too long
+    # for float64 all fail this one test.
+    if not 0.0 < norm < np.inf:
+        raise ParameterError(
+            "direction must be three finite numbers, not all zero, "
+            f"got {direction.tolist()!r}"
+        )
     k = 2.0 * np.pi / wavelength
     return k * direction / norm
+
+
+def _cloud_widths(sigmas) -> np.ndarray:
+    """The three rms widths of a Gaussian cloud, each finite and > 0."""
+    sig = np.asarray(sigmas, dtype=float)
+    if sig.shape != (3,) or not np.all((sig > 0.0) & (sig < np.inf)):
+        raise ParameterError(
+            f"sigmas must be three finite positive lengths, got {sig.tolist()!r}"
+        )
+    return sig
 
 
 def pair_overlap_projected(kx, projection):
@@ -189,9 +209,9 @@ class OverlapMatrix:
 
     def validate(self, atol: float = 1e-12) -> None:
         """Check hermiticity and the unit diagonal."""
-        if np.max(np.abs(self.s - self.s.conj().T)) > atol:
+        if not np.max(np.abs(self.s - self.s.conj().T)) <= atol:
             raise ParameterError("overlap matrix is not Hermitian")
-        if np.max(np.abs(np.diagonal(self.s) - 1.0)) > atol:
+        if not np.max(np.abs(np.diagonal(self.s) - 1.0)) <= atol:
             raise ParameterError("overlap matrix diagonal is not 1")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, DetuningSet, QubitBranch, _response_denominator, output_amplitudes
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _require_nonnegative, _require_positive
 
 
 @dataclass(frozen=True)
@@ -47,36 +47,28 @@ class RoundTripParams:
     gamma_rg: float
 
     def __post_init__(self):
-        if self.finesse <= 0.0:
-            raise ParameterError(f"finesse must be > 0, got {self.finesse!r}")
-        if self.optical_depth < 0.0:
-            raise ParameterError(
-                f"optical_depth must be >= 0, got {self.optical_depth!r}"
-            )
+        for name in ("finesse", "round_trip_time", "wavenumber", "medium_length",
+                     "gamma", "gamma_rg"):
+            _require_positive(name, getattr(self, name))
+        for name in ("optical_depth", "omega_c", "chi0"):
+            _require_nonnegative(name, getattr(self, name))
         for name in ("rho_in", "rho_hr"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ParameterError(f"{name} must be in (0, 1], got {value!r}")
-        for name in ("round_trip_time", "wavenumber", "medium_length", "gamma",
-                     "gamma_rg"):
-            value = getattr(self, name)
-            if value <= 0.0:
-                raise ParameterError(f"{name} must be > 0, got {value!r}")
-        if self.omega_c < 0.0:
-            raise ParameterError(f"omega_c must be >= 0, got {self.omega_c!r}")
-        if self.chi0 < 0.0:
-            raise ParameterError(f"chi0 must be >= 0, got {self.chi0!r}")
-        if abs(self.rho_in**2 + self.tau_in**2 - 1.0) > 1e-9:
+        # The consistency checks are written as ``not ... <=`` so that a
+        # NaN residual (an infinite wavenumber, say) fails them too.
+        if not abs(self.rho_in**2 + self.tau_in**2 - 1.0) <= 1e-9:
             raise ParameterError("input mirror must satisfy rho^2 + tau^2 = 1")
         depth = self.wavenumber * self.medium_length * self.chi0
-        if abs(depth - self.optical_depth) > 1e-9 * max(1.0, self.optical_depth):
+        if not abs(depth - self.optical_depth) <= 1e-9 * max(1.0, self.optical_depth):
             raise ParameterError(
                 "optical_depth inconsistent with wavenumber * length * chi0"
             )
         if self.rho_in * self.rho_hr >= 1.0:
             raise ParameterError("lossless mirrors leave the finesse undefined")
         expected = math.pi / (self.kappa * self.round_trip_time)
-        if abs(expected - self.finesse) > 1e-9 * self.finesse:
+        if not abs(expected - self.finesse) <= 1e-9 * self.finesse:
             raise ParameterError(
                 "finesse inconsistent with mirror losses and round-trip time"
             )
@@ -104,8 +96,7 @@ class RoundTripParams:
         medium_length: float = 1.0,
     ) -> "RoundTripParams":
         """Realize the given macroscopic cavity at a chosen finesse."""
-        if finesse <= 0.0:
-            raise ParameterError(f"finesse must be > 0, got {finesse!r}")
+        _require_positive("finesse", finesse)
         t_rt = math.pi / (cavity.kappa * finesse)
         rho_in = math.exp(-cavity.kappa_in * t_rt)
         rho_hr = math.exp(-cavity.kappa_hr * t_rt)

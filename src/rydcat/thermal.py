@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .overlap import Polarization, legendre_p2
+from .errors import ParameterError, _require_positive
+from .overlap import Polarization, _cloud_widths, incident_wavevector, legendre_p2
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,11 @@ def zeta_from_sigmas(sigmas, wavelength: float) -> float:
     Uses the geometric mean of the three rms widths; the factor sqrt(2)
     converts a single-atom width into a pair-separation width.
     """
-    if wavelength <= 0.0:
-        raise ParameterError(f"wavelength must be > 0, got {wavelength!r}")
-    sig = np.asarray(sigmas, dtype=float)
-    if sig.shape != (3,) or np.any(sig <= 0.0):
-        raise ParameterError("sigmas must be three positive lengths")
+    sig = _cloud_widths(sigmas)
+    # Along z the last component of the wavevector is 2 pi / wavelength.
+    wavenumber = float(incident_wavevector(wavelength, (0.0, 0.0, 1.0))[2])
     mean_sigma = float(np.cbrt(sig[0] * sig[1] * sig[2]))
-    return math.sqrt(2.0) * (2.0 * math.pi / wavelength) * mean_sigma
+    return math.sqrt(2.0) * wavenumber * mean_sigma
 
 
 def _i0(zeta: float) -> float:
@@ -82,13 +80,10 @@ def _i2(zeta: float) -> float:
 
 
 def _incidence_projection(polarization: Polarization, e_in) -> float:
-    e_in = np.asarray(e_in, dtype=float)
-    if e_in.shape != (3,):
-        raise ParameterError(f"e_in must have shape (3,), got {e_in.shape}")
-    norm = np.linalg.norm(e_in)
-    if norm == 0.0:
-        raise ParameterError("e_in cannot be the zero vector")
-    return float(abs(np.sum((e_in / norm) * polarization.jones)))
+    # A drive of wavelength 2 pi has wavenumber 1: its wavevector is the
+    # unit vector along e_in, checked like any drive direction.
+    unit = incident_wavevector(2.0 * math.pi, e_in)
+    return float(abs(np.sum(unit * polarization.jones)))
 
 
 def thermal_average_s12(
@@ -100,8 +95,7 @@ def thermal_average_s12(
     the polarization it fixes the two Legendre weights that enter the
     mean and the mean square.
     """
-    if zeta <= 0.0:
-        raise ParameterError(f"zeta must be > 0, got {zeta!r}")
+    _require_positive("zeta", zeta)
     p2_incidence = legendre_p2(_incidence_projection(polarization, e_in))
     p2_self = legendre_p2(polarization.self_overlap)
     i0 = _i0(zeta)
@@ -139,7 +133,7 @@ def second_order_collective_overlap(
     is its negation.  Exact in the pair statistics, perturbative in the
     overlap smallness.
     """
-    if n_atoms < 2:
+    if not n_atoms >= 2:
         raise ParameterError(f"n_atoms must be >= 2, got {n_atoms!r}")
     _warn_if_dense(zeta)
     stats = thermal_average_s12(zeta, polarization, e_in)
@@ -154,7 +148,7 @@ def second_order_large_n(
     e_in=(0.0, 0.0, -1.0),
 ) -> float:
     """Large-atom-number limit of the second-order overlap shift."""
-    if n_atoms < 2:
+    if not n_atoms >= 2:
         raise ParameterError(f"n_atoms must be >= 2, got {n_atoms!r}")
     _warn_if_dense(zeta)
     stats = thermal_average_s12(zeta, polarization, e_in)

@@ -149,6 +149,9 @@ class TestGenerateCat:
         with pytest.raises(ParameterError):
             generate_cat(headline_params(), 0.5, 1.0, 0.0, 1.0,
                          radiated_mode_overlap=1.0 + 1e-6)
+        with pytest.raises(ParameterError):
+            generate_cat(headline_params(), 0.5, 1.0, 0.0, 1.0,
+                         radiated_mode_overlap=math.nan)
 
 
 class TestLossBudget:

@@ -108,6 +108,13 @@ class TestResonantAmplitudes:
         with pytest.raises(ParameterError):
             OutputAmplitudes(r=1.0, a=1.0, m=0.0, alpha_in=1.0)
 
+    @pytest.mark.parametrize("coop,alpha_in", [(21.0, math.nan),
+                                               (math.inf, 1.0)])
+    def test_nan_amplitudes_rejected(self, coop, alpha_in):
+        params = CavityParams.from_coupling_strength(0.9825, coop, 21.0)
+        with pytest.raises(ParameterError, match="energy"):
+            output_amplitudes(params, QubitBranch.UP, alpha_in)
+
 
 class TestReflectionCoefficient:
     def test_matches_closed_form_on_resonance(self):

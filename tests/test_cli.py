@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rydcat import NumericalError, __version__, cli
@@ -77,6 +78,7 @@ class TestExitCodes:
         ["figure4", "--runs-budget", "nan"],
         ["figure4", "--runs-budget", "inf"],
         ["figure4", "--wavelength", "inf"],
+        ["amplitudes", "--alpha-in", "nan"],
     ])
     def test_non_finite_value_is_two(self, capsys, argv):
         assert cli.main(argv) == 2
@@ -85,11 +87,63 @@ class TestExitCodes:
         assert "invalid parameter" in captured.err
 
     def test_numerical_error_is_three(self, capsys, monkeypatch):
-        def explode(run, args):
+        def explode(args):
             raise NumericalError("synthetic")
 
         monkeypatch.setattr(cli, "cmd_headline", explode)
         assert cli.main(["headline"]) == 3
+
+
+COMMANDS = ("amplitudes", "figure2", "figure3", "figure4", "headline",
+            "xcheck", "mc")
+
+# The option names and defaults of each subcommand, as parsed from an
+# empty command line; grids appear as the arrays their defaults expand to.
+COMMON_DEFAULTS = {"config": None, "seed": 0, "out": None, "format": "csv"}
+CAVITY_DEFAULTS = {"eta_esc": 0.9825, "cooperativity": 21.0}
+CLOUD_DEFAULTS = {"sigmas": (3.3, 4.5, 1.7), "wavelength": 0.78,
+                  "polarization": "circular", "isotropic": False,
+                  "workers": None}
+OPTION_DEFAULTS = {
+    "amplitudes": {**CAVITY_DEFAULTS, "lambda_dn": 21.0, "alpha_in": 1 + 0j,
+                   "branch": "both"},
+    "figure2": {**CAVITY_DEFAULTS,
+                "lambda_grid": np.geomspace(1.0, 1000.0, 400).tolist()},
+    "figure3": {"kx_grid": np.linspace(0.0, 50.0, 501).tolist(),
+                "projections": [0.0, 0.7071067811865476, 1.0]},
+    "figure4": {**CLOUD_DEFAULTS, "n_grid": list(range(3, 31)),
+                "runs_budget": 100000.0, "fit_out": None},
+    "headline": {**CAVITY_DEFAULTS, "visibility_ratio": 0.36787944117144233,
+                 "lambda_inf": False},
+    "xcheck": {**CAVITY_DEFAULTS, "lambda_dn": 21.0,
+               "finesse_grid": [100.0, 1000.0, 10000.0, 100000.0, 1000000.0],
+               "fit_out": None},
+    "mc": {**CLOUD_DEFAULTS, "n_atoms": 260, "n_runs": 100},
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_option_names_and_defaults(self, monkeypatch, command):
+        # The handler is swapped for one that keeps the parsed namespace,
+        # its last argument.
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda *a: seen.append(a[-1]))
+        assert cli.main([command]) == 0
+        parsed = vars(seen[0])
+        del parsed["func"]
+        got = {k: v.tolist() if isinstance(v, np.ndarray) else v
+               for k, v in parsed.items()}
+        want = {**COMMON_DEFAULTS, "command": command,
+                **OPTION_DEFAULTS[command]}
+        assert got == want
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: rydcat {command}")
 
 
 class TestAmplitudes:
@@ -264,6 +318,14 @@ class TestConfigFile:
             assert exc.value.code == 1
             err = capsys.readouterr().err
             assert "--config must follow the subcommand" in err
+
+    def test_shared_option_keys(self, capsys, tmp_path):
+        # Options declared once for several commands are config keys of each.
+        path = self.write_config(tmp_path, "eta_esc = 0.9\ncooperativity = 5\n")
+        _, from_config = run_cli(capsys, "headline", "--config", path)
+        _, explicit = run_cli(capsys, "headline", "--eta-esc", "0.9",
+                              "--cooperativity", "5")
+        assert from_config == explicit
 
     def test_dashed_key_accepted(self, capsys, tmp_path):
         path = self.write_config(tmp_path, "n-atoms = 8\nn_runs = 4\n")

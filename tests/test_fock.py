@@ -53,6 +53,10 @@ class TestCoherentState:
         with pytest.raises(ParameterError):
             coherent_state(1.0, -1)
 
+    def test_rejects_fractional_cutoff(self):
+        with pytest.raises(ParameterError, match="cutoff"):
+            coherent_state(1.0, 3.5)
+
 
 class TestSplitTwoMode:
     def test_coherent_input_factorizes(self):
@@ -187,6 +191,8 @@ class TestOverlapLemma:
     def test_rejects_super_unity_mode_overlap(self):
         with pytest.raises(ParameterError):
             fock_overlap_lemma_check(1.5, 0.5, 0.5)
+        with pytest.raises(ParameterError):
+            fock_overlap_lemma_check(math.nan, 0.5, 0.5)
 
     @given(c=UNIT_DISK, up=SMALL_AMP, dn=SMALL_AMP)
     def test_closed_form_conjugation_symmetry(self, c, up, dn):

@@ -61,6 +61,10 @@ class TestConfig:
             dict(n_runs=8.0),
             dict(seed=1.5),
             dict(seed=np.float64(1.0)),
+            dict(workers=1.5),
+            dict(direction=(0.0, 1.0)),
+            dict(direction=(0.0, 0.0, 0.0)),
+            dict(direction=(1e200, 1e200, 0.0)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

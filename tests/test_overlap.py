@@ -58,6 +58,8 @@ class TestPolarization:
     def test_rejects_unnormalized_jones(self):
         with pytest.raises(ParameterError):
             Polarization(jones=np.array([1.0, 1.0, 0.0]))
+        with pytest.raises(ParameterError):
+            Polarization(jones=np.array([math.nan, 0.0, 0.0]))
 
     def test_circular_components(self):
         jones = Polarization.circular().jones
@@ -127,6 +129,26 @@ class TestAtomCloud:
         with pytest.raises(ParameterError):
             AtomCloud.sample(5, (1, 1, 1), 1.0, np.random.default_rng(0),
                              direction=(0, 0, 0))
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_atoms", 20.0),
+        ("n_atoms", -1),
+        ("n_atoms", 1),
+        ("wavelength", 0.0),
+        ("wavelength", math.inf),
+        ("wavelength", math.nan),
+        ("sigmas", (1.0, 2.0)),
+        ("sigmas", (1.0, -2.0, 3.0)),
+        ("sigmas", (1.0, math.inf, 1.0)),
+        ("direction", (0.0, 1.0)),
+    ])
+    def test_sample_rejects_bad_input(self, name, value):
+        # The error names the input it rejects.
+        args = dict(n_atoms=5, sigmas=(1.0, 1.0, 1.0), wavelength=0.78,
+                    rng=np.random.default_rng(0))
+        args[name] = value
+        with pytest.raises(ParameterError, match=name):
+            AtomCloud.sample(**args)
 
     @pytest.mark.parametrize("bad", ["positions", "k_in"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -276,6 +298,9 @@ class TestOverlapMatrix:
         _, matrix = self.make(n=4)
         bad = matrix.s.copy()
         bad[0, 1] += 1e-6
+        with pytest.raises(ParameterError):
+            OverlapMatrix(s=bad).validate()
+        bad[0, 1] = math.nan
         with pytest.raises(ParameterError):
             OverlapMatrix(s=bad).validate()
 

@@ -66,6 +66,12 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             RoundTripParams.from_cavity(headline_cavity(), 0.0)
 
+    @pytest.mark.parametrize("field", ["wavenumber", "medium_length"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_medium(self, field, value):
+        with pytest.raises(ParameterError):
+            RoundTripParams.from_cavity(headline_cavity(), 1e3, **{field: value})
+
 
 class TestMedium:
     def test_resonant_susceptibility_per_branch(self):

@@ -28,10 +28,29 @@ def test_zeta_from_sigmas_frozen_value():
 
 
 def test_zeta_rejects_bad_inputs():
+    for sigmas in ((1.0, -1.0, 1.0), (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0)):
+        with pytest.raises(ParameterError):
+            zeta_from_sigmas(sigmas, WAVELENGTH)
+    for wavelength in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            zeta_from_sigmas(SIGMAS, wavelength)
+    for zeta in (0.0, math.nan):
+        with pytest.raises(ParameterError):
+            thermal_average_s12(zeta, Polarization.circular())
+
+
+@pytest.mark.parametrize("e_in", [(0.0, 0.0, 0.0), (0.0, 1.0),
+                                  (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0)])
+def test_rejects_bad_drive_direction(e_in):
+    with pytest.raises(ParameterError, match="direction"):
+        thermal_average_s12(33.4, Polarization.circular(), e_in)
+
+
+@pytest.mark.parametrize("study", [second_order_collective_overlap,
+                                   second_order_large_n])
+def test_second_order_rejects_nan_atom_number(study):
     with pytest.raises(ParameterError):
-        zeta_from_sigmas((1.0, -1.0, 1.0), WAVELENGTH)
-    with pytest.raises(ParameterError):
-        zeta_from_sigmas(SIGMAS, 0.0)
+        study(33.4, math.nan, Polarization.circular())
 
 
 class TestReferenceCloud:
