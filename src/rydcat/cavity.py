@@ -21,7 +21,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NumericalError, ParameterError, _require_nonnegative, _require_positive
+from .errors import (
+    NumericalError,
+    ParameterError,
+    _require_finite,
+    _require_nonnegative,
+    _require_positive,
+)
 
 
 class _FarDetuned:
@@ -89,6 +95,8 @@ class CavityParams:
         _require_positive("gamma", self.gamma)
         _require_nonnegative("omega_c", self.omega_c)
         _require_positive("gamma_rg", self.gamma_rg)
+        for name in ("cooperativity", "kappa", "gamma", "omega_c", "gamma_rg"):
+            _require_finite(name, getattr(self, name))
 
     @property
     def kappa_in(self) -> float:

@@ -66,16 +66,25 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _finite(values):
+    # A grid or list with a NaN or infinite value is a malformed option.
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    return values
+
+
 def _geom_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:num' into a geometric grid."""
+    """Parse 'start:stop:num' into a geometric grid of finite values."""
     start, stop, num = text.split(":")
-    return np.geomspace(float(start), float(stop), int(num))
+    with np.errstate(all="ignore"):  # a grid that is not finite fails below
+        return _finite(np.geomspace(float(start), float(stop), int(num)))
 
 
 def _linear_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:num' into a linear grid."""
+    """Parse 'start:stop:num' into a linear grid of finite values."""
     start, stop, num = text.split(":")
-    return np.linspace(float(start), float(stop), int(num))
+    with np.errstate(all="ignore"):  # a grid that is not finite fails below
+        return _finite(np.linspace(float(start), float(stop), int(num)))
 
 
 def _int_grid(text: str) -> list[int]:
@@ -94,7 +103,7 @@ def _float_triple(text: str) -> tuple[float, float, float]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",")]
+    return _finite([float(part) for part in text.split(",")])
 
 
 def _fmt(value) -> str:

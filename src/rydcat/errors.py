@@ -5,6 +5,7 @@ Each check is written so that NaN fails it: ``not value > 0`` rejects
 NaN, where ``value <= 0`` would let it through.
 """
 
+import math
 import operator
 
 
@@ -24,6 +25,11 @@ def _require_positive(name: str, value: float) -> None:
 def _require_nonnegative(name: str, value: float) -> None:
     if not value >= 0:
         raise ParameterError(f"{name} must be >= 0, got {value!r}")
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not abs(value) < math.inf:
+        raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
 def _integer(name: str, value, minimum: int | None = None) -> int:

@@ -25,6 +25,10 @@ from .overlap import (
 )
 
 _WORKERS_ENV = "RYDCAT_WORKERS"
+# Atom pairs of the runs reduced together, in whole tiles of clouds: one
+# drive phase and one branch reduction serve them all, and the 8 B per
+# pair that ``collective_pairs`` keeps stays at 512 KB.
+_GROUP_PAIRS = 2**16
 
 
 @dataclass(frozen=True)
@@ -108,11 +112,14 @@ def _sample_runs(config: MonteCarloConfig, first_stream: int = 0):
     """Per-run b, c, s12 and s12_sq of ``config.n_runs`` clouds.
 
     Run i draws its cloud from the Philox stream keyed by (seed,
-    first_stream + i).  Small clouds are evaluated together, as many as
-    fill one pair tile (``overlap.tile_clouds``).  A run's numbers depend
-    on its key alone, never on the clouds it shares a tile with.
+    first_stream + i).  Small clouds are reduced together, as many whole
+    pair tiles of them (``overlap.tile_clouds``) as fit in
+    ``_GROUP_PAIRS`` pairs.  A run's numbers depend on its key alone,
+    never on the clouds it shares a tile or a group with.
     """
-    per_group = tile_clouds(config.n_atoms)
+    n = config.n_atoms
+    per_tile = tile_clouds(n)
+    per_group = per_tile * max(1, _GROUP_PAIRS // (per_tile * (n * (n - 1) // 2)))
     streams = range(first_stream, first_stream + config.n_runs)
     groups = [streams[i:i + per_group] for i in range(0, len(streams), per_group)]
     k_in = incident_wavevector(config.wavelength, config.direction)

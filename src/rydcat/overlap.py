@@ -368,15 +368,26 @@ def _row_blocks(n_atoms: int) -> tuple[tuple[int, int], ...]:
 
 
 def _tiles(n_atoms: int, clouds: int):
-    # Pair tiles of ``clouds`` stacked clouds of ``n_atoms`` atoms, one per
-    # row block: (start, stop, i, j, row_starts) as ``_pair_block`` gives
-    # them.  Index blocks are cached for a full tile of clouds and cut to
-    # ``clouds`` here, so a campaign's last, partial tile adds no entry.
-    stacked = max(clouds, tile_clouds(n_atoms))
-    for start, stop in _row_blocks(n_atoms):
-        i, j, row_starts = _pair_block(n_atoms, start, stop, stacked)
-        size = clouds * (i.size // stacked)
-        yield start, stop, i[:size], j[:size], row_starts[:clouds * (stop - start)]
+    # Pair tiles of ``clouds`` stacked clouds of ``n_atoms`` atoms: for each
+    # chunk of at most ``tile_clouds(n_atoms)`` consecutive clouds, one tile
+    # per row block, as (chunk, start, stop, i, j, row_starts).  ``chunk``
+    # is the chunk's range of clouds; i, j and row_starts are those of
+    # ``_pair_block`` and number the chunk's atoms from 0, so they index
+    # views of per-atom arrays cut to the chunk.  Index blocks are cached
+    # for a full chunk and cut here, so a last, partial chunk adds no entry.
+    stacked = tile_clouds(n_atoms)
+    for first in range(0, clouds, stacked):
+        chunk = range(first, min(first + stacked, clouds))
+        for start, stop in _row_blocks(n_atoms):
+            i, j, row_starts = _pair_block(n_atoms, start, stop, stacked)
+            size = len(chunk) * (i.size // stacked)
+            rows = len(chunk) * (stop - start)
+            yield chunk, start, stop, i[:size], j[:size], row_starts[:rows]
+
+
+def _atoms(chunk: range, n_atoms: int) -> slice:
+    # The atoms of a chunk of stacked clouds, numbered cloud by cloud.
+    return slice(chunk.start * n_atoms, chunk.stop * n_atoms)
 
 
 def _tile_overlaps(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray):
@@ -387,9 +398,10 @@ def _tile_overlaps(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray):
     coords = np.ascontiguousarray(flat.T)
     phase = _drive_phase(flat, k_in)
     wavenumber = float(np.linalg.norm(k_in))
-    for start, stop, i, j, row_starts in _tiles(n, r):
-        pairs = _pair_kernel(coords, phase, i, j, wavenumber, jones)
-        yield start, stop, i, j, row_starts, pairs
+    for chunk, start, stop, i, j, row_starts in _tiles(n, r):
+        atoms = _atoms(chunk, n)
+        pairs = _pair_kernel(coords[:, atoms], phase[atoms], i, j, wavenumber, jones)
+        yield chunk, start, stop, i, j, row_starts, pairs
 
 
 def overlap_matrix(cloud: AtomCloud, polarization: Polarization) -> OverlapMatrix:
@@ -409,7 +421,7 @@ def overlap_matrix(cloud: AtomCloud, polarization: Polarization) -> OverlapMatri
 
 
 def _check_overlap_magnitude(c: complex) -> None:
-    if abs(c) > 1.0 + 1e-9:
+    if not abs(c) <= 1.0 + 1e-9:
         raise ParameterError(
             f"collective overlap magnitude cannot exceed 1, got {c!r}"
         )
@@ -461,11 +473,15 @@ def _branch_overlap(row, quadratic):
     n = row.shape[1]
     r_re = row.real
     n_dn = r_re.sum(axis=1)
-    if np.any(n_dn <= 0.0):
-        raise NumericalError("nonpositive normalization of the symmetric mode")
+    if not np.all(n_dn > 0.0):
+        raise NumericalError(
+            "nonpositive or NaN normalization of the symmetric mode"
+        )
     per_atom = n_dn[:, None] - 2.0 * r_re + 1.0
-    if np.any(per_atom <= 0.0):
-        raise NumericalError("nonpositive normalization of a punctured mode")
+    if not np.all(per_atom > 0.0):
+        raise NumericalError(
+            "nonpositive or NaN normalization of a punctured mode"
+        )
     root = np.sqrt(per_atom)
     r_mean = r_re.mean(axis=1, keepdims=True)
     root_mean = np.sqrt(n_dn[:, None] - 2.0 * r_mean + 1.0)
@@ -476,8 +492,10 @@ def _branch_overlap(row, quadratic):
     a = (eps * row).sum(axis=1)
     e = quadratic(eps)
     den = n_dn - 2.0 * a.real + e
-    if np.any(den <= 0.0):
-        raise NumericalError("nonpositive normalization of the blockaded mode")
+    if not np.all(den > 0.0):
+        raise NumericalError(
+            "nonpositive or NaN normalization of the blockaded mode"
+        )
     loss = (e - (a.real * a.real + a.imag * a.imag) / n_dn) / den
     mod = np.sqrt(1.0 - loss)
     phi = np.angle(n_dn - a)
@@ -486,7 +504,8 @@ def _branch_overlap(row, quadratic):
     c = np.empty(b.shape, dtype=complex)
     c.real = 1.0 - b
     c.imag = mod * np.sin(phi)
-    over = mod > 1.0 + 1e-9
+    # NaN fails these checks, as it fails the guards above.
+    over = ~(mod <= 1.0 + 1e-9)
     if np.any(over):
         _check_overlap_magnitude(complex(c[np.argmax(over)]))
     return c, b, per_atom
@@ -499,12 +518,14 @@ def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray)
     the mean pair overlap and the mean squared pair magnitude, each (R,),
     and the punctured-mode normalizations ``per_atom`` (R, N).
     The pairs i < j are evaluated tile by tile, each tile a block of
-    rows of the triu order of every cloud, and reduced on the spot: row
+    rows of the triu order of every cloud of a chunk of at most
+    ``tile_clouds(N)`` clouds, and reduced on the spot: row
     sums above the diagonal by ``np.add.reduceat`` (their total is the
     pair sum), below it by ``np.bincount``, and the real part of each
     pair is kept (8 B per pair) for the quadratic form of
     ``_branch_overlap``, so memory is 8 B per pair of the stack plus one
-    tile; no N x N matrix is formed.
+    tile; no N x N matrix is formed.  The whole stack is finished in one
+    ``_branch_overlap`` call.
     A cloud's results depend on its row blocks, fixed by N, never on the
     other clouds of the stack.
     """
@@ -515,15 +536,18 @@ def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray)
     total_sq = np.zeros(r)
     real_parts = np.empty(r * (n * (n - 1) // 2))
     offset = 0
-    for start, stop, _, j, row_starts, s in _tile_overlaps(positions, k_in, jones):
+    tiles = _tile_overlaps(positions, k_in, jones)
+    for chunk, start, stop, _, j, row_starts, s in tiles:
+        clouds, atoms = len(chunk), _atoms(chunk, n)
         re = real_parts[offset:offset + s.size]
         re[:] = s.real
         im = s.imag
-        upper[:, start:stop] = np.add.reduceat(s, row_starts).reshape(r, -1)
-        lower_re += np.bincount(j, re, r * n)
-        lower_im += np.bincount(j, im, r * n)
-        for part in (re.reshape(r, -1), im.reshape(r, -1)):
-            total_sq += np.einsum("ij,ij->i", part, part)
+        sums = np.add.reduceat(s, row_starts)
+        upper[chunk.start:chunk.stop, start:stop] = sums.reshape(clouds, -1)
+        lower_re[atoms] += np.bincount(j, re, clouds * n)
+        lower_im[atoms] += np.bincount(j, im, clouds * n)
+        for part in (re.reshape(clouds, -1), im.reshape(clouds, -1)):
+            total_sq[chunk.start:chunk.stop] += np.einsum("ij,ij->i", part, part)
         offset += s.size
     row = np.empty((r, n), dtype=complex)
     row.real = 1.0 + upper.real + lower_re.reshape(r, n)
@@ -534,12 +558,13 @@ def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray)
         flat_eps = eps.ravel()
         cross = np.zeros(r)
         offset = 0
-        for _, _, i, j, row_starts in _tiles(n, r):
-            part = np.take(flat_eps, j)
+        for chunk, _, _, i, j, row_starts in _tiles(n, r):
+            chunk_eps = flat_eps[_atoms(chunk, n)]
+            part = np.take(chunk_eps, j)
             part *= real_parts[offset:offset + j.size]
             part = np.add.reduceat(part, row_starts)
-            part *= np.take(flat_eps, i[row_starts])
-            cross += part.reshape(r, -1).sum(axis=1)
+            part *= np.take(chunk_eps, i[row_starts])
+            cross[chunk.start:chunk.stop] += part.reshape(len(chunk), -1).sum(axis=1)
             offset += j.size
         return (eps * eps).sum(axis=1) + 2.0 * cross
 

@@ -60,6 +60,21 @@ class TestCavityParams:
         with pytest.raises(ParameterError):
             CavityParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["cooperativity", "kappa", "gamma", "omega_c", "gamma_rg"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_rates(self, field, value):
+        # Named where it is given: an infinite cooperativity used to pass
+        # and surface later as a NaN loss or energy residual.
+        kwargs = {"eta_esc": 0.9, "cooperativity": 1.0, field: value}
+        with pytest.raises(ParameterError, match=field):
+            CavityParams(**kwargs)
+
+    def test_infinite_coupling_strength_names_the_rabi_frequency(self):
+        with pytest.raises(ParameterError, match="omega_c must be finite"):
+            CavityParams.from_coupling_strength(0.9, 12.0, math.inf)
+
     def test_rejects_coupling_strength_below_one(self):
         with pytest.raises(ParameterError):
             CavityParams.from_coupling_strength(0.9, 12.0, 0.5)
@@ -108,11 +123,15 @@ class TestResonantAmplitudes:
         with pytest.raises(ParameterError):
             OutputAmplitudes(r=1.0, a=1.0, m=0.0, alpha_in=1.0)
 
-    @pytest.mark.parametrize("coop,alpha_in", [(21.0, math.nan),
-                                               (math.inf, 1.0)])
-    def test_nan_amplitudes_rejected(self, coop, alpha_in):
-        params = CavityParams.from_coupling_strength(0.9825, coop, 21.0)
-        with pytest.raises(ParameterError, match="energy"):
+    # An infinite cooperativity is rejected by CavityParams, naming it,
+    # before it can make the amplitudes NaN.
+    @pytest.mark.parametrize("coop,alpha_in,message", [
+        (21.0, math.nan, "energy"),
+        (math.inf, 1.0, "cooperativity must be finite"),
+    ], ids=["21.0-nan", "inf-1.0"])
+    def test_nan_amplitudes_rejected(self, coop, alpha_in, message):
+        with pytest.raises(ParameterError, match=message):
+            params = CavityParams.from_coupling_strength(0.9825, coop, 21.0)
             output_amplitudes(params, QubitBranch.UP, alpha_in)
 
 

@@ -298,6 +298,28 @@ def test_runs_bit_identical_to_per_run_path(geometry, n, first_stream):
             assert field.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("n, runs, groups", [
+    (3, 2222, [2222]),
+    (30, 22, [22]),
+    (64, 40, [32, 8]),
+    (260, 3, [1, 1, 1]),
+])
+def test_runs_reduced_in_groups(monkeypatch, n, runs, groups):
+    # Whole tiles of small clouds, up to 2**16 pairs, share one
+    # collective_pairs call (one drive phase and one branch reduction);
+    # a cloud of more than 2**15 pairs has a call of its own.
+    sizes = []
+    reduce = montecarlo.collective_pairs
+
+    def counted(positions, *args):
+        sizes.append(positions.shape[0])
+        return reduce(positions, *args)
+
+    monkeypatch.setattr(montecarlo, "collective_pairs", counted)
+    montecarlo._sample_runs(MonteCarloConfig(n_atoms=n, n_runs=runs, seed=5))
+    assert sizes == groups
+
+
 def old_mismatch_longdouble(s):
     # reference_run's reduction in np.clongdouble: b = 1 - Re c with c
     # rounded to ~1e-19, good to ~1e-18 at N <= 30.

@@ -392,6 +392,17 @@ class TestCollectiveStack:
                        dtype=complex)
         self.assert_same_failure(bad, ParameterError)
 
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+    def test_nan_entry_is_a_numerical_failure(self, entry):
+        # NaN fails the normalization guards, as a nonpositive norm does.
+        bad = self.good(3)
+        bad[entry] = bad[entry[::-1]] = np.nan
+        self.assert_same_failure(bad, NumericalError)
+
+    def test_nan_overlap_fails_the_magnitude_check(self):
+        with pytest.raises(ParameterError):
+            CollectiveOverlap(c_up_dn=complex(np.nan, 0.0), b_up_dn=np.nan)
+
     def test_members_reduce_as_alone(self):
         stack = np.stack([self.good(seed) for seed in range(4)])
         c, b, per_atom = self.reduce(stack)
