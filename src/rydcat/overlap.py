@@ -233,13 +233,13 @@ def tile_clouds(n_atoms: int) -> int:
     return max(1, _TILE_PAIRS // (n_atoms * (n_atoms - 1) // 2))
 
 
-def _pair_kernel(coords, phase, i, j, wavenumber, jones):
-    # Overlaps of the atom pairs (i[m], j[m]) of atoms with coordinates
-    # ``coords`` (3, M) and drive phases ``phase`` (M,).  The drive phase
-    # is rank 1, exp(-i k.(x_i - x_j)) = e_i conj(e_j) with e = exp(-i k.x),
-    # so each pair costs one square root, one sine and one cosine.  The
-    # arithmetic is in place where it can be, so that few tile-sized
-    # temporaries are alive at once.
+def _pair_kernel(coords, i, j, wavenumber, jones):
+    # Real overlap kernels of the atom pairs (i[m], j[m]) of atoms with
+    # coordinates ``coords`` (3, M): one square root and one tangent per
+    # pair.  The drive phase is rank 1, exp(-i k.(x_i - x_j)) =
+    # e_i conj(e_j) with e = exp(-i k.x), so it stays with the atoms and
+    # never enters a pair.  The arithmetic is in place where it can be,
+    # so that few tile-sized temporaries are alive at once.
     diffs = np.take(coords, i, axis=1)
     diffs -= np.take(coords, j, axis=1)
     sq = np.einsum("kt,kt->t", diffs, diffs)
@@ -258,11 +258,7 @@ def _pair_kernel(coords, phase, i, j, wavenumber, jones):
     kernel, j2 = j0_j2_stable(kx)
     j2 *= p2
     kernel += j2
-    pairs = np.take(phase, i)
-    phase_j = np.take(phase, j)
-    pairs *= np.conjugate(phase_j, out=phase_j)
-    pairs *= kernel
-    return pairs
+    return kernel
 
 
 def _weighted_sum(parts, weights):
@@ -331,20 +327,27 @@ def _pair_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The pairs i < j of rows [row_start, row_stop) in triu order, for
     # ``clouds`` stacked clouds whose atoms are numbered cloud by cloud:
-    # atom indices i and j, and where each row's pairs start.  Built per
-    # row block and shared read-only, so a large cloud never holds all
-    # its N(N - 1)/2 index pairs.
+    # atom indices i and j, and each pair's cell in the flattened
+    # rectangle (clouds, row_stop - row_start, n_atoms - row_start) of
+    # the block, whose cell (c, i - row_start, j - row_start) holds
+    # pair (i, j) of cloud c; cells on and below the diagonal hold no
+    # pair.  Built per row block and shared read-only, so a large cloud
+    # never holds all its N(N - 1)/2 index pairs.  The atom indices are
+    # int32, which gathers as fast as intp and holds the cache to 16 B
+    # per pair; the cells stay intp, which scatters 2-3x faster.
     rows = np.arange(row_start, row_stop)
     counts = n_atoms - 1 - rows
     ends = np.cumsum(counts)
     starts = ends - counts
     i = np.repeat(rows, counts)
     j = np.arange(ends[-1]) + np.repeat(rows + 1 - starts, counts)
+    width = n_atoms - row_start
+    cells = (i - row_start) * width + (j - row_start)
     shift = np.arange(clouds)[:, None]
     block = (
-        (i + n_atoms * shift).ravel(),
-        (j + n_atoms * shift).ravel(),
-        (starts + ends[-1] * shift).ravel(),
+        (i + n_atoms * shift).ravel().astype(np.int32),
+        (j + n_atoms * shift).ravel().astype(np.int32),
+        (cells + (row_stop - row_start) * width * shift).ravel(),
     )
     for index in block:
         index.setflags(write=False)
@@ -370,8 +373,8 @@ def _row_blocks(n_atoms: int) -> tuple[tuple[int, int], ...]:
 def _tiles(n_atoms: int, clouds: int):
     # Pair tiles of ``clouds`` stacked clouds of ``n_atoms`` atoms: for each
     # chunk of at most ``tile_clouds(n_atoms)`` consecutive clouds, one tile
-    # per row block, as (chunk, start, stop, i, j, row_starts).  ``chunk``
-    # is the chunk's range of clouds; i, j and row_starts are those of
+    # per row block, as (chunk, start, stop, i, j, cells).  ``chunk`` is
+    # the chunk's range of clouds; i, j and cells are those of
     # ``_pair_block`` and number the chunk's atoms from 0, so they index
     # views of per-atom arrays cut to the chunk.  Index blocks are cached
     # for a full chunk and cut here, so a last, partial chunk adds no entry.
@@ -379,10 +382,9 @@ def _tiles(n_atoms: int, clouds: int):
     for first in range(0, clouds, stacked):
         chunk = range(first, min(first + stacked, clouds))
         for start, stop in _row_blocks(n_atoms):
-            i, j, row_starts = _pair_block(n_atoms, start, stop, stacked)
+            i, j, cells = _pair_block(n_atoms, start, stop, stacked)
             size = len(chunk) * (i.size // stacked)
-            rows = len(chunk) * (stop - start)
-            yield chunk, start, stop, i[:size], j[:size], row_starts[:rows]
+            yield chunk, start, stop, i[:size], j[:size], cells[:size]
 
 
 def _atoms(chunk: range, n_atoms: int) -> slice:
@@ -390,18 +392,16 @@ def _atoms(chunk: range, n_atoms: int) -> slice:
     return slice(chunk.start * n_atoms, chunk.stop * n_atoms)
 
 
-def _tile_overlaps(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray):
+def _tile_kernels(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray):
     # ``_tiles`` of the stacked clouds ``positions`` (R, N, 3), each with
-    # its pairs' overlaps appended; a pair's bits depend on its atoms alone.
+    # its pairs' real kernels appended; a pair's bits depend on its atoms
+    # alone.
     r, n, _ = positions.shape
-    flat = positions.reshape(r * n, 3)
-    coords = np.ascontiguousarray(flat.T)
-    phase = _drive_phase(flat, k_in)
+    coords = np.ascontiguousarray(positions.reshape(r * n, 3).T)
     wavenumber = float(np.linalg.norm(k_in))
-    for chunk, start, stop, i, j, row_starts in _tiles(n, r):
-        atoms = _atoms(chunk, n)
-        pairs = _pair_kernel(coords[:, atoms], phase[atoms], i, j, wavenumber, jones)
-        yield chunk, start, stop, i, j, row_starts, pairs
+    for chunk, start, stop, i, j, cells in _tiles(n, r):
+        kernel = _pair_kernel(coords[:, _atoms(chunk, n)], i, j, wavenumber, jones)
+        yield chunk, start, stop, i, j, cells, kernel
 
 
 def overlap_matrix(cloud: AtomCloud, polarization: Polarization) -> OverlapMatrix:
@@ -412,8 +412,13 @@ def overlap_matrix(cloud: AtomCloud, polarization: Polarization) -> OverlapMatri
     """
     n = cloud.n_atoms
     s = np.empty((n, n), dtype=complex)
-    tiles = _tile_overlaps(cloud.positions[None], cloud.k_in, polarization.jones)
-    for *_, i, j, _, pairs in tiles:
+    phase = _drive_phase(cloud.positions, cloud.k_in)
+    tiles = _tile_kernels(cloud.positions[None], cloud.k_in, polarization.jones)
+    for *_, i, j, _, kernel in tiles:
+        pairs = np.take(phase, i)
+        phase_j = np.take(phase, j)
+        pairs *= np.conjugate(phase_j, out=phase_j)
+        pairs *= kernel
         s[i, j] = pairs
         s[j, i] = np.conjugate(pairs, out=pairs)
     np.fill_diagonal(s, 1.0)
@@ -517,60 +522,71 @@ def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray)
     ``positions`` has shape (R, N, 3).  Returns ``c_up_dn``, ``b_up_dn``,
     the mean pair overlap and the mean squared pair magnitude, each (R,),
     and the punctured-mode normalizations ``per_atom`` (R, N).
-    The pairs i < j are evaluated tile by tile, each tile a block of
-    rows of the triu order of every cloud of a chunk of at most
-    ``tile_clouds(N)`` clouds, and reduced on the spot: row
-    sums above the diagonal by ``np.add.reduceat`` (their total is the
-    pair sum), below it by ``np.bincount``, and the real part of each
-    pair is kept (8 B per pair) for the quadratic form of
-    ``_branch_overlap``, so memory is 8 B per pair of the stack plus one
-    tile; no N x N matrix is formed.  The whole stack is finished in one
-    ``_branch_overlap`` call.
-    A cloud's results depend on its row blocks, fixed by N, never on the
-    other clouds of the stack.
+
+    A pair's overlap is s_ij = e_i K_ij conj(e_j), with K the real kernel
+    and e = exp(-i k.x) the drive phase, so the phase stays with the
+    atoms.  The pairs i < j are evaluated tile by tile, each tile a block
+    of rows [a, b) of the triu order of every cloud of a chunk of at most
+    ``tile_clouds(N)`` clouds, and their kernels are scattered into a
+    zeroed rectangle (clouds, b - a, N - a) whose cells on and below the
+    diagonal stay 0.  Every reduction is a stacked matrix product of
+    those rectangles with [Re, Im] pairs of per-atom vectors:
+
+        u_i = sum_{j>i} K_ij conj(e_j)    (block @ conj(e)[a:]),
+        l_j = sum_{i<j} K_ij conj(e_i)    (block^T @ conj(e)[a:b]),
+
+    so the row sums are 1 + e (u + l), the pair sum is sum e u, the
+    squared magnitudes sum to sum K^2, and the quadratic form of
+    ``_branch_overlap`` is sum eps^2 + 2 sum v . (block @ v[a:]) with
+    v = eps [Re e, Im e].  The rectangles are kept for that last pass:
+    8 B per cell, ≈ 8 B per pair of a large cloud and up to 16 B when a
+    whole cloud is one block; no N x N matrix is formed.  The whole
+    stack is finished in one ``_branch_overlap`` call.  A cloud's results
+    depend on its row blocks, fixed by N, never on the other clouds of
+    the stack.  A cloud too wide for float64 fills its rectangles with
+    inf and NaN quietly; ``_branch_overlap``'s guards report it.
     """
     r, n, _ = positions.shape
-    upper = np.zeros((r, n), dtype=complex)
-    lower_re = np.zeros(r * n)
-    lower_im = np.zeros(r * n)
+    # One zeroed store holds every rectangle of the stack.
+    store = np.zeros(r * sum((b - a) * (n - a) for a, b in _row_blocks(n)))
+    upper = np.zeros((r, n, 2))
+    lower = np.zeros((r, n, 2))
     total_sq = np.zeros(r)
-    real_parts = np.empty(r * (n * (n - 1) // 2))
-    offset = 0
-    tiles = _tile_overlaps(positions, k_in, jones)
-    for chunk, start, stop, _, j, row_starts, s in tiles:
-        clouds, atoms = len(chunk), _atoms(chunk, n)
-        re = real_parts[offset:offset + s.size]
-        re[:] = s.real
-        im = s.imag
-        sums = np.add.reduceat(s, row_starts)
-        upper[chunk.start:chunk.stop, start:stop] = sums.reshape(clouds, -1)
-        lower_re[atoms] += np.bincount(j, re, clouds * n)
-        lower_im[atoms] += np.bincount(j, im, clouds * n)
-        for part in (re.reshape(clouds, -1), im.reshape(clouds, -1)):
-            total_sq[chunk.start:chunk.stop] += np.einsum("ij,ij->i", part, part)
-        offset += s.size
-    row = np.empty((r, n), dtype=complex)
-    row.real = 1.0 + upper.real + lower_re.reshape(r, n)
-    row.imag = upper.imag - lower_im.reshape(r, n)
+    blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = _drive_phase(positions, k_in)
+        conj_pairs = np.conjugate(phase).view(float).reshape(r, n, 2)
+        tiles = _tile_kernels(positions, k_in, jones)
+        for chunk, start, stop, _, _, cells, kernel in tiles:
+            clouds = slice(chunk.start, chunk.stop)
+            size = len(chunk) * (stop - start) * (n - start)
+            flat, store = store[:size], store[size:]
+            flat[cells] = kernel
+            block = flat.reshape(len(chunk), stop - start, n - start)
+            e = conj_pairs[clouds, start:]
+            upper[clouds, start:stop] = block @ e
+            lower[clouds, start:] += block.swapaxes(1, 2) @ e[:, :stop - start]
+            per_cloud = kernel.reshape(len(chunk), -1)
+            total_sq[clouds] += np.einsum("ij,ij->i", per_cloud, per_cloud)
+            blocks.append((clouds, start, stop, block))
+        row = phase * (upper + lower).view(complex)[..., 0]
+        row += 1.0
+        pair_sum = (phase * upper.view(complex)[..., 0]).sum(axis=1)
+    phase_pairs = phase.view(float).reshape(r, n, 2)
 
     def quadratic(eps):
-        # eps_i eps_j Re s_ij summed row by row of each block.
-        flat_eps = eps.ravel()
-        cross = np.zeros(r)
-        offset = 0
-        for chunk, _, _, i, j, row_starts in _tiles(n, r):
-            chunk_eps = flat_eps[_atoms(chunk, n)]
-            part = np.take(chunk_eps, j)
-            part *= real_parts[offset:offset + j.size]
-            part = np.add.reduceat(part, row_starts)
-            part *= np.take(chunk_eps, i[row_starts])
-            cross[chunk.start:chunk.stop] += part.reshape(len(chunk), -1).sum(axis=1)
-            offset += j.size
-        return (eps * eps).sum(axis=1) + 2.0 * cross
+        # eps_i eps_j Re s_ij = K_ij (v_i . v_j), summed row by row of
+        # each block.
+        v = phase_pairs * eps[..., None]
+        rows = np.zeros((r, n, 2))
+        for clouds, start, stop, block in blocks:
+            rows[clouds, start:stop] = block @ v[clouds, start:]
+        rows *= v
+        return (eps * eps).sum(axis=1) + 2.0 * rows.reshape(r, -1).sum(axis=1)
 
     c, b, per_atom = _branch_overlap(row, quadratic)
     count = n * (n - 1) // 2
-    return c, b, upper.sum(axis=1) / count, total_sq / count, per_atom
+    return c, b, pair_sum / count, total_sq / count, per_atom
 
 
 def collective_from_matrix(matrix: OverlapMatrix) -> CollectiveOverlap:

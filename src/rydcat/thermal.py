@@ -98,17 +98,31 @@ def thermal_average_s12(
     _require_positive("zeta", zeta)
     p2_incidence = legendre_p2(_incidence_projection(polarization, e_in))
     p2_self = legendre_p2(polarization.self_overlap)
-    i0 = _i0(zeta)
-    i2 = _i2(zeta)
-    mean = i0 - p2_incidence * i2
-    mean_sq = i0 + (1.0 + p2_self) / 10.0 * i2
+    low_density_rms = math.sqrt((11.0 + p2_self) / 20.0) / zeta
+    try:
+        i0 = _i0(zeta)
+        i2 = _i2(zeta)
+        low_density_mean = (1.0 - p2_incidence) / (2.0 * zeta**2)
+        mean = i0 - p2_incidence * i2
+        mean_sq = i0 + (1.0 + p2_self) / 10.0 * i2
+        rms = math.sqrt(mean_sq)
+    except OverflowError:
+        # Python's float power raises once zeta**6 passes float64, from
+        # zeta ~ 2.4e51 on.  There the damping is 1 and every term past
+        # the first in powers of 1/zeta**2 is below 1e-100 of it, so each
+        # statistic is its low-density form, divided by zeta one factor
+        # at a time so that it underflows instead of overflowing.
+        low_density_mean = (1.0 - p2_incidence) / 2.0 / zeta / zeta
+        mean = low_density_mean
+        mean_sq = (11.0 + p2_self) / 20.0 / zeta / zeta
+        rms = low_density_rms
     return ThermalPairStats(
         zeta=zeta,
         mean=mean,
         mean_sq=mean_sq,
-        rms=math.sqrt(mean_sq),
-        low_density_mean=(1.0 - p2_incidence) / (2.0 * zeta**2),
-        low_density_rms=math.sqrt((11.0 + p2_self) / 20.0) / zeta,
+        rms=rms,
+        low_density_mean=low_density_mean,
+        low_density_rms=low_density_rms,
     )
 
 

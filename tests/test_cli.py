@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ def run_cli(capsys, *argv):
 # off by a few ulp of 1.  figure3, mc and figure4 were captured again when
 # the Bessel kernel moved to one half-angle tangent, which moves them by
 # at most 1.7e-13 relative (figure3, a value of 2e-5 near a zero of the
-# kernel; 3.5e-18 absolute), 7.8e-16 (mc) and 1.4e-15 (figure4).  numpy's
+# kernel; 3.5e-18 absolute), 7.8e-16 (mc) and 1.4e-15 (figure4).  mc and
+# figure4 were captured again when the drive phase left the pair kernel
+# and the reductions became matrix products of the real kernels, which
+# moves them by at most 1.4e-15 (mc) and 9.3e-16 (figure4).  numpy's
 # float64 tan is a SIMD loop on AVX-512 hosts and libm elsewhere; both
 # are within an ulp, but they can differ by one, and so can these bytes.
 GOLDEN_SHA256 = {
@@ -39,10 +43,10 @@ GOLDEN_SHA256 = {
     ("headline", "json"): "b4b52d79f0adcae2daa8f46e604795e592513401d2ad2ccb5ee7cee4e87ee7e4",
     ("xcheck", "csv"): "dc41c0dad41f46e9d3933f4b83b714074a2acf6c229bba341eb641341685a117",
     ("xcheck", "json"): "0d5606ce23c85001aff1452509a3e9e4c389d8c30f64bb4ef32a8b7b8049399b",
-    ("mc", "csv"): "349bc1ad48e477382022792c609ea77503cdf5c0179a286ad72c5db613c3213a",
-    ("mc", "json"): "17f703aa076de6d71abea760a1101a2e8302f35c91b937810f6ae79f761d4e7a",
-    ("figure4", "csv"): "c184d6d58e6e67be4714fb1d3cda48f0e8ab44574f729347e250f57bc14958e9",
-    ("figure4", "json"): "30df78a46f37f3864fa22c08dce2b4406f456f0f5feddb777b0e978bf5f1c57b",
+    ("mc", "csv"): "56bf15ced589288d9c94208e87968ae544bf3289effdaaa0898ca3423fa707d0",
+    ("mc", "json"): "3b9e8d639aabe06a9248a0d428fd26c4d7c9ee0af7cc40d09aaaa23385a791d3",
+    ("figure4", "csv"): "d99a1cbf1cbad3c60e46e9bea0013f646329f24c46b1ca606895c98537eed07b",
+    ("figure4", "json"): "9e4be2bba7f55bd1ea5f949cbd073c890543a64db6f08109bebca6cf2a5c6331",
 }
 GOLDEN_ARGS = {
     "mc": ("--n-atoms", "20", "--n-runs", "4"),
@@ -108,15 +112,21 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
 
     def test_cloud_too_wide_for_float64_is_three(self, capsys):
-        # The pair kernel overflows to NaN; the branch reduction's guards
-        # reject it instead of printing nan.
-        argv = ["mc", "--n-atoms", "3", "--n-runs", "2",
-                "--sigmas", "1e200,1e200,1e200"]
-        with np.errstate(all="ignore"):
-            assert cli.main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "numerical failure" in captured.err
+        # Squared separations (and at 1e300 the drive phase's split of
+        # k.x) overflow to inf and NaN quietly; the branch reduction's
+        # guards alone report it, in one line, instead of printing nan.
+        for width in ("1e200", "1e300"):
+            argv = ["mc", "--n-atoms", "3", "--n-runs", "2",
+                    "--sigmas", ",".join([width] * 3)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "rydcat: numerical failure: nonpositive or NaN normalization "
+                "of the symmetric mode"
+            ]
 
     def test_numerical_error_is_three(self, capsys, monkeypatch):
         def explode(args):

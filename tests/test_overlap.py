@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -208,12 +209,13 @@ class TestPairOverlapsOracle:
 
 
 def test_pair_indices_are_shared_read_only():
-    iu, ju, row_starts = _pair_block(7, 0, 6, 1)
+    iu, ju, cells = _pair_block(7, 0, 6, 1)
     assert _pair_block(7, 0, 6, 1)[0] is iu
-    assert not any(index.flags.writeable for index in (iu, ju, row_starts))
+    assert not any(index.flags.writeable for index in (iu, ju, cells))
     expect_i, expect_j = np.triu_indices(7, k=1)
     assert np.array_equal(iu, expect_i) and np.array_equal(ju, expect_j)
-    assert np.array_equal(row_starts, [0, 6, 11, 15, 18, 20])
+    # Pair (i, j) lands in cell (i, j) of the block's 6 x 7 rectangle.
+    assert np.array_equal(cells, 7 * expect_i + expect_j)
 
 
 @pytest.mark.parametrize("n", [2, 3, 91, 92, 260])
@@ -233,11 +235,63 @@ def test_pair_blocks_tile_the_upper_triangle(n):
             j = np.concatenate([g[1].reshape(stack, -1)[cloud] for g in got])
             assert np.array_equal(i, iu + n * cloud)
             assert np.array_equal(j, ju + n * cloud)
-        for (start, stop), (i, _, row_starts) in zip(blocks, got):
+        for (start, stop), (i, _, cells) in zip(blocks, got):
             assert i.size <= _TILE_PAIRS * stack or stop == start + 1
-            assert np.array_equal(i[row_starts],
-                                  np.tile(np.arange(start, stop), stack)
-                                  + n * np.repeat(np.arange(stack), stop - start))
+            assert cells.size == i.size
+
+
+def _assert_cells_fill_rectangle(n, start, stop, stack):
+    # Every pair of every stacked cloud lands in its own cell of the
+    # block's zeroed rectangle, at (cloud, i - start, j - start), and
+    # no cell on or below the diagonal is written.
+    i, j, cells = _pair_block(n, start, stop, stack)
+    shape = (stack, stop - start, n - start)
+    rect = np.zeros(math.prod(shape))
+    np.add.at(rect, cells, 1.0)
+    assert rect.max() == 1.0 and rect.sum() == i.size
+    cloud, row, col = np.unravel_index(cells, shape)
+    assert np.array_equal(cloud, i // n) and np.array_equal(cloud, j // n)
+    assert np.array_equal(row, i % n - start)
+    assert np.array_equal(col, j % n - start)
+    rect = rect.reshape(shape)
+    assert not np.any(np.tril(rect))
+
+
+@pytest.mark.parametrize("n", [2, 3, 91, 92, 260])
+def test_pair_cells_fill_each_rectangle_once(n):
+    for stack in {1, tile_clouds(n)}:
+        for start, stop in _row_blocks(n):
+            _assert_cells_fill_rectangle(n, start, stop, stack)
+
+
+def test_pair_cells_of_a_large_cloud():
+    # N = 5000: single-row blocks first, then blocks of shrinking rows.
+    for start, stop in _row_blocks(5000):
+        _assert_cells_fill_rectangle(5000, start, stop, 1)
+
+
+@pytest.mark.parametrize("n, polarization, digest", [
+    (37, "circular",
+     "6ca3651d68de2e42f3523c98f8b63f00972891dd776231c8ee9c6e2203b0e474"),
+    (37, "linear",
+     "757b0e3f2c6ea013d6bc3836e499235ffa5006319375a6d792516fdade700cd4"),
+    (300, "circular",
+     "8117ec6c01f76274ab3def0272b5fe08aed7c7f3751782c823c7029826ab3919"),
+    (300, "linear",
+     "76e9b744edf5e2c9bc197c794368ad5dea3f5a2951fa16a81855160ad0fe17c9"),
+])
+def test_overlap_matrix_bytes_pinned(n, polarization, digest):
+    # sha256 of the matrix's bytes, captured while each pair's drive
+    # phase was still applied inside the pair kernel; the matrix must not
+    # move when the phase moves out of it.  numpy's float64 tan is a SIMD
+    # loop on AVX-512 hosts and libm elsewhere, which can differ by an
+    # ulp, and so can these bytes.
+    pol = (Polarization.circular() if polarization == "circular"
+           else Polarization.linear((0.0, 1.0, 1.0)))
+    cloud = AtomCloud.sample(n, (3.3, 4.5, 1.7), 0.78,
+                             np.random.default_rng(n))
+    s = overlap_matrix(cloud, pol).s
+    assert hashlib.sha256(s.tobytes()).hexdigest() == digest
 
 
 def test_row_blocks_of_a_large_cloud():

@@ -12,6 +12,7 @@ from rydcat import (
     thermal_average_s12,
     zeta_from_sigmas,
 )
+from rydcat.overlap import legendre_p2
 from rydcat.thermal import _i2
 
 from oracles import thermal_mean_quadrature, thermal_mean_sq_quadrature
@@ -152,17 +153,19 @@ def test_linear_polarization_moments_differ():
                                                 rel=1e-14)
 
 
-def mpmath_i2(zetas):
-    # the closed form of the order-2 Gaussian average, at 60 digits
+def mpmath_i0_i2(zeta):
+    # the closed forms of the order-0 and order-2 Gaussian averages, at
+    # 60 digits
     from mpmath import expm1, mp, mpf
 
     mp.dps = 60
-    out = []
-    for zeta in zetas:
-        z = mpf(float(zeta))
-        damp = -expm1(-2 * z**2)
-        out.append(float(-3 / z**4 + damp / 2 * (1 / z**2 + 3 / z**4 + 3 / z**6)))
-    return np.array(out)
+    z = mpf(float(zeta))
+    damp = -expm1(-2 * z**2)
+    return damp / (2 * z**2), -3 / z**4 + damp / 2 * (1 / z**2 + 3 / z**4 + 3 / z**6)
+
+
+def mpmath_i2(zetas):
+    return np.array([float(mpmath_i0_i2(zeta)[1]) for zeta in zetas])
 
 
 def test_i2_against_high_precision():
@@ -173,3 +176,34 @@ def test_i2_against_high_precision():
     expect = mpmath_i2(zetas)
     got = np.array([_i2(float(zeta)) for zeta in zetas])
     assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("zeta", [1e52, 1e76, 1e200])
+@pytest.mark.parametrize("pol", [Polarization.circular(),
+                                 Polarization.linear((0.0, 1.0, 1.0))],
+                         ids=["circular", "linear"])
+def test_far_cloud_statistics(zeta, pol):
+    # zeta**6 passes float64 here, and Python's float power would raise:
+    # each statistic is its low-density form, which the closed forms
+    # (at 60 digits) match to far below an ulp.  At 1e200 the means
+    # underflow to 0 and the rms does not.
+    from mpmath import mpf, sqrt
+
+    stats = thermal_average_s12(zeta, pol)
+    p2_in = legendre_p2(abs(pol.jones[2]))
+    p2_self = legendre_p2(pol.self_overlap)
+    i0, i2 = mpmath_i0_i2(zeta)
+    mean_sq = i0 + (1 + p2_self) / 10 * i2
+    expect = {
+        "mean": i0 - p2_in * i2,
+        "mean_sq": mean_sq,
+        "rms": sqrt(mean_sq),
+        "low_density_mean": (1 - p2_in) / (2 * mpf(zeta) ** 2),
+        "low_density_rms": sqrt((11 + p2_self) / 20) / mpf(zeta),
+    }
+    for name, value in expect.items():
+        got = getattr(stats, name)
+        assert math.isclose(got, float(value), rel_tol=2e-16), name
+    assert stats.rms > 0.0
+    assert stats.mean == stats.low_density_mean
+    assert stats.rms == stats.low_density_rms
