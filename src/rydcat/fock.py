@@ -62,32 +62,38 @@ def split_two_mode(state: np.ndarray, transmission: float) -> np.ndarray:
         raise ParameterError("state must be a square two-mode array")
     dim = state.shape[0]
     angle = math.acos(math.sqrt(transmission))
-    out = np.zeros_like(state, dtype=complex)
+    flat = state.ravel()
+    out = np.empty(dim * dim, dtype=complex)
     for total in range(2 * dim - 1):
         # Basis of the sector: |total - k, k> for admissible k.
-        k_lo = max(0, total - dim + 1)
-        k_hi = min(total, dim - 1)
-        size = k_hi - k_lo + 1
-        if size == 1:
-            k = k_lo
-            out[total - k, k] += state[total - k, k]
+        k = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+        cells = (total - k) * dim + k
+        if k.size == 1:
+            out[cells] = flat[cells]
             continue
-        gen = np.zeros((size, size))
-        for idx in range(size - 1):
-            k = k_lo + idx
-            # a b-dagger moves a photon into the reflected mode.
-            step = math.sqrt((k + 1) * (total - k))
-            gen[idx + 1, idx] = step
-            gen[idx, idx + 1] = -step
-        # angle * gen is anti-Hermitian: exponentiate it in the
-        # eigenbasis of the Hermitian 1j * gen.
-        phases, vecs = np.linalg.eigh(1j * gen)
-        amps = np.array([state[total - k, k] for k in range(k_lo, k_hi + 1)])
-        mixed = vecs @ (np.exp(-1j * angle * phases) * (vecs.conj().T @ amps))
-        for idx in range(size):
-            k = k_lo + idx
-            out[total - k, k] = mixed[idx]
-    return out
+        # a b-dagger moves a photon into the reflected mode with
+        # amplitude step, so angle * gen is real and antisymmetric with
+        # steps below the diagonal.  With D = diag(1j**idx), the
+        # Hermitian 1j * gen is D T D^-1 for the real symmetric
+        # tridiagonal T of the steps: exponentiate in T's eigenbasis.
+        steps = np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
+        phases, vecs = np.linalg.eigh(np.diag(steps, 1) + np.diag(steps, -1))
+        turn = _QUARTER_TURNS[np.arange(k.size) % 4]
+        amps = flat[cells] * turn.conj()
+        mixed = np.exp(-1j * angle * phases) * _real_matmul(vecs.T, amps)
+        out[cells] = _real_matmul(vecs, mixed) * turn
+    return out.reshape(dim, dim)
+
+
+# 1j**idx for idx mod 4, exact.
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _real_matmul(real: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    # A real matrix times a complex vector (contiguous), whose real and
+    # imaginary parts are the two columns of a real one.
+    parts = vectors.view(float).reshape(*vectors.shape, 2)
+    return (real @ parts).view(complex)[..., 0]
 
 
 def beam_splitter_pair(
@@ -163,18 +169,22 @@ def fock_overlap_lemma_check(
     c_perp = math.sqrt(max(0.0, 1.0 - abs(c_up_dn) ** 2))
     # Number states of the down-branch mode, expanded on the two-mode
     # grid (up-mode count, complement count).  The n-photon state
-    # distributes binomially between the two orthogonal directions.
+    # distributes binomially between the two orthogonal directions:
+    # down_states[n, n - k, k] = sqrt(C(n, k)) c_up_dn**(n - k) c_perp**k.
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
+    n, k = np.nonzero(np.tri(dim, dtype=bool))
+    log_binom = log_fact[n] - log_fact[k] - log_fact[n - k]
+    powers = np.ones((dim, 2), dtype=complex)
+    powers[1:] = (c_up_dn, c_perp)
+    powers = np.cumprod(powers, axis=0)
     down_states = np.zeros((dim, dim, dim), dtype=complex)
-    for n in range(dim):
-        for k in range(n + 1):
-            log_binom = log_fact[n] - log_fact[k] - log_fact[n - k]
-            coeff = math.exp(0.5 * log_binom) * (c_up_dn ** (n - k)) * (c_perp**k)
-            down_states[n, n - k, k] = coeff
+    down_states[n, n - k, k] = (
+        np.exp(0.5 * log_binom) * powers[n - k, 0] * powers[k, 1]
+    )
     # Gram matrix between up-mode number states and down-mode ones:
     # <m_up|n_dn> = down_states[n, m, 0].
     gram = down_states[:, :, 0].T
-    expected = np.diag(np.array([c_up_dn**n for n in range(dim)]))
+    expected = np.diag(np.array([c_up_dn**m for m in range(dim)]))
     fock_dev = float(np.max(np.abs(gram - expected)))
 
     up_vec = coherent_state(alpha_up, cutoff)
@@ -185,7 +195,7 @@ def fock_overlap_lemma_check(
             stacklevel=2,
         )
     # Down-branch coherent state on the two-mode grid.
-    dn_grid = np.tensordot(dn_coeffs, down_states, axes=(0, 0))
+    dn_grid = (dn_coeffs @ down_states.reshape(dim, dim * dim)).reshape(dim, dim)
     up_grid = np.zeros_like(dn_grid)
     up_grid[:, 0] = up_vec
     brute = complex(np.vdot(up_grid, dn_grid))

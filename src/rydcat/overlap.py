@@ -12,6 +12,7 @@ mode-mismatch decoherence fed into the cat loss budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,8 @@ from .errors import NumericalError, ParameterError, _integer
 
 def legendre_p2(x):
     """Second Legendre polynomial."""
+    if type(x) is float:
+        return 1.5 * x * x - 0.5
     x = np.asarray(x, dtype=float)
     out = 1.5 * x * x - 0.5
     return float(out) if out.ndim == 0 else out
@@ -30,12 +33,17 @@ def legendre_p2(x):
 
 @dataclass(frozen=True, eq=False)
 class Polarization:
-    """Unit Jones vector of the incident field."""
+    """Unit Jones vector of the incident field.
+
+    Besides the array ``jones``, a read-only copy of the vector given, it
+    keeps the three components as Python complex numbers and the self
+    overlap, for the scalar closed forms.
+    """
 
     jones: np.ndarray
 
     def __post_init__(self):
-        jones = np.asarray(self.jones, dtype=complex)
+        jones = np.array(self.jones, dtype=complex)
         if jones.shape != (3,):
             raise ParameterError(f"jones must have shape (3,), got {jones.shape}")
         norm_sq = float(np.vdot(jones, jones).real)
@@ -43,7 +51,12 @@ class Polarization:
             raise ParameterError(
                 f"jones vector must be normalized, |e|^2 = {norm_sq!r}"
             )
+        jones.flags.writeable = False
         object.__setattr__(self, "jones", jones)
+        object.__setattr__(self, "_components", tuple(jones.tolist()))
+        object.__setattr__(
+            self, "_self_overlap", float(abs(np.sum(jones * jones)))
+        )
 
     @property
     def self_overlap(self) -> float:
@@ -52,7 +65,7 @@ class Polarization:
         1 for linear polarization, 0 for circular; controls the
         mean-square pair overlap of a thermal cloud.
         """
-        return float(abs(np.sum(self.jones * self.jones)))
+        return self._self_overlap
 
     @classmethod
     def circular(cls) -> "Polarization":
@@ -139,17 +152,34 @@ def incident_wavevector(wavelength: float, direction) -> np.ndarray:
         raise ParameterError(
             f"wavelength must be finite and > 0, got {wavelength!r}"
         )
-    direction = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(direction) if direction.shape == (3,) else np.nan
-    # A NaN or infinite component, an all-zero vector and one too long
-    # for float64 all fail this one test.
-    if not 0.0 < norm < np.inf:
+    components, norm = _direction_norm(direction)
+    k = 2.0 * np.pi / wavelength
+    return np.array([k * c / norm for c in components])
+
+
+def _direction_norm(direction) -> tuple[tuple[float, float, float], float]:
+    """A drive direction as three Python floats, and its length.
+
+    The one check of a direction: three finite numbers, not all zero.
+    The length is sqrt(x*x + y*y + z*z) in Python floats, so a vector
+    too long for float64 gets an infinite length, and fails, without a
+    floating-point warning.
+    """
+    try:
+        if not isinstance(direction, (tuple, list)):
+            direction = np.asarray(direction, dtype=float).tolist()
+        x, y, z = map(float, direction)
+        norm = math.sqrt(x * x + y * y + z * z)
+    except (TypeError, ValueError, OverflowError):
+        norm = math.nan
+    # A NaN or infinite component, an all-zero vector, one too long for
+    # float64 and anything but three numbers all fail this one test.
+    if not 0.0 < norm < math.inf:
         raise ParameterError(
             "direction must be three finite numbers, not all zero, "
-            f"got {direction.tolist()!r}"
+            f"got {direction!r}"
         )
-    k = 2.0 * np.pi / wavelength
-    return k * direction / norm
+    return (x, y, z), norm
 
 
 def _cloud_widths(sigmas) -> np.ndarray:
@@ -242,9 +272,15 @@ def _pair_kernel(coords, i, j, wavenumber, jones):
     # so that few tile-sized temporaries are alive at once.
     diffs = np.take(coords, i, axis=1)
     diffs -= np.take(coords, j, axis=1)
-    sq = np.einsum("kt,kt->t", diffs, diffs)
     proj_re = _weighted_sum(diffs, jones.real)
     proj_im = _weighted_sum(diffs, jones.imag)
+    # The squared length as an explicit sum, which rounds a lone pair
+    # the way it rounds the same pair among many.  The other rows are
+    # squared in place, so the sum needs one temporary, not one per row.
+    sq = diffs[0] * diffs[0]
+    diffs[1:] *= diffs[1:]
+    sq += diffs[1]
+    sq += diffs[2]
     # P2 of the separation direction projected on the Jones vector, from
     # its real and imaginary parts.  A coincident pair gets -1/2; the
     # order-2 kernel vanishes there, so it never enters.

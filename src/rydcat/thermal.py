@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, _require_positive
-from .overlap import Polarization, _cloud_widths, incident_wavevector, legendre_p2
+from .overlap import (
+    Polarization,
+    _cloud_widths,
+    _direction_norm,
+    incident_wavevector,
+    legendre_p2,
+)
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,13 @@ def _i2(zeta: float) -> float:
 
 
 def _incidence_projection(polarization: Polarization, e_in) -> float:
-    # A drive of wavelength 2 pi has wavenumber 1: its wavevector is the
-    # unit vector along e_in, checked like any drive direction.
-    unit = incident_wavevector(2.0 * math.pi, e_in)
-    return float(abs(np.sum(unit * polarization.jones)))
+    # |u . e| for the unit vector u along e_in, checked like any drive
+    # direction, in Python floats: the same operations, in the same
+    # order, as the wavevector of a drive of wavenumber 1 summed against
+    # the Jones array.
+    (x, y, z), norm = _direction_norm(e_in)
+    jx, jy, jz = polarization._components
+    return abs(x / norm * jx + y / norm * jy + z / norm * jz)
 
 
 def thermal_average_s12(

@@ -5,17 +5,24 @@ solid-angle quadrature instead of the Bessel kernel, explicit mode
 functions on an angular grid instead of the matrix reduction, nested
 Gaussian-weighted quadrature instead of the thermal closed forms, and
 number-basis beam splitting instead of coherent-state algebra.  The
-one exception, ``branch_mismatch_longdouble``, evaluates the package's
-own branch reduction at higher precision, so that it measures float64
-rounding alone.
+exceptions evaluate the package's own algorithms another way:
+``branch_mismatch_longdouble`` runs the branch reduction at higher
+precision, so that it measures float64 rounding alone;
+``split_two_mode_hermitian`` exponentiates each photon-number sector of
+the beam splitter through the complex Hermitian generator, and
+``overlap_lemma_brute_force`` builds the lemma's down-branch number
+states pair by pair, as the package did before both were vectorized.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
+from rydcat.errors import ParameterError
 from rydcat.fock import beam_splitter_pair, coherent_state
 
 _N_PHI = 8
@@ -296,3 +303,68 @@ def beam_splitter_factor_fock(
         coherent_state(t_amp * alpha_up, cutoff),
     )
     return complex(np.conj(num / den))
+
+
+def split_two_mode_hermitian(state: np.ndarray, transmission: float) -> np.ndarray:
+    """``fock.split_two_mode`` by the complex Hermitian generator of each sector.
+
+    One sector at a time, in Python loops: the eigenbasis of the
+    Hermitian 1j * gen instead of that of the real tridiagonal matrix.
+    """
+    if not 0.0 <= transmission <= 1.0:
+        raise ParameterError(
+            f"transmission must be in [0, 1], got {transmission!r}"
+        )
+    if state.ndim != 2 or state.shape[0] != state.shape[1]:
+        raise ParameterError("state must be a square two-mode array")
+    dim = state.shape[0]
+    angle = math.acos(math.sqrt(transmission))
+    out = np.zeros_like(state, dtype=complex)
+    for total in range(2 * dim - 1):
+        # Basis of the sector: |total - k, k> for admissible k.
+        k_lo = max(0, total - dim + 1)
+        k_hi = min(total, dim - 1)
+        size = k_hi - k_lo + 1
+        if size == 1:
+            k = k_lo
+            out[total - k, k] += state[total - k, k]
+            continue
+        gen = np.zeros((size, size))
+        for idx in range(size - 1):
+            k = k_lo + idx
+            # a b-dagger moves a photon into the reflected mode.
+            step = math.sqrt((k + 1) * (total - k))
+            gen[idx + 1, idx] = step
+            gen[idx, idx + 1] = -step
+        # angle * gen is anti-Hermitian: exponentiate it in the
+        # eigenbasis of the Hermitian 1j * gen.
+        phases, vecs = np.linalg.eigh(1j * gen)
+        amps = np.array([state[total - k, k] for k in range(k_lo, k_hi + 1)])
+        mixed = vecs @ (np.exp(-1j * angle * phases) * (vecs.conj().T @ amps))
+        for idx in range(size):
+            k = k_lo + idx
+            out[total - k, k] = mixed[idx]
+    return out
+
+
+def overlap_lemma_brute_force(
+    c_up_dn: complex, alpha_up: complex, alpha_dn: complex, cutoff: int
+) -> complex:
+    """``fock_overlap_lemma_check(...).brute_force`` with a pair-by-pair grid.
+
+    The down-branch number states are filled one (n, k) entry at a time
+    with ``math.exp`` and complex powers.
+    """
+    dim = cutoff + 1
+    c_perp = math.sqrt(max(0.0, 1.0 - abs(c_up_dn) ** 2))
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
+    down_states = np.zeros((dim, dim, dim), dtype=complex)
+    for n in range(dim):
+        for k in range(n + 1):
+            log_binom = log_fact[n] - log_fact[k] - log_fact[n - k]
+            coeff = math.exp(0.5 * log_binom) * (c_up_dn ** (n - k)) * (c_perp**k)
+            down_states[n, n - k, k] = coeff
+    dn_grid = np.tensordot(coherent_state(alpha_dn, cutoff), down_states, axes=(0, 0))
+    up_grid = np.zeros_like(dn_grid)
+    up_grid[:, 0] = coherent_state(alpha_up, cutoff)
+    return complex(np.vdot(up_grid, dn_grid))

@@ -19,7 +19,11 @@ from rydcat import (
     split_two_mode,
 )
 
-from oracles import beam_splitter_factor_fock
+from oracles import (
+    beam_splitter_factor_fock,
+    overlap_lemma_brute_force,
+    split_two_mode_hermitian,
+)
 
 SMALL_AMP = st.complex_numbers(max_magnitude=1.2, allow_infinity=False, allow_nan=False)
 UNIT_DISK = st.complex_numbers(max_magnitude=1.0, allow_infinity=False, allow_nan=False)
@@ -100,6 +104,24 @@ class TestSplitTwoMode:
         assert out[1, 0] == pytest.approx(0.5)
         assert out[0, 1] == pytest.approx(math.sqrt(0.75))
 
+    @pytest.mark.parametrize("transmission", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("alpha", [0.5, 3.0 + 0.5j])
+    @pytest.mark.parametrize("cutoff", [None, 8])
+    def test_matches_hermitian_sector_oracle(self, alpha, transmission, cutoff):
+        # Both modes coherent.  At the default cutoff the truncated
+        # corner is empty; at cutoff 8 the clipped sectors (total photon
+        # number >= dim), whose ladders stop short, carry amplitude.
+        if cutoff is None:
+            cutoff = default_cutoff(alpha)
+        state = np.outer(coherent_state(alpha, cutoff),
+                         coherent_state(-0.6j * alpha, cutoff))
+        totals = np.add.outer(np.arange(cutoff + 1), np.arange(cutoff + 1))
+        if cutoff == 8:
+            assert np.max(np.abs(state[totals > cutoff])) > 1e-6
+        got = split_two_mode(state, transmission)
+        expect = split_two_mode_hermitian(state, transmission)
+        assert np.max(np.abs(got - expect)) <= 1e-13
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterError):
             split_two_mode(np.zeros((3, 3), dtype=complex), 1.5)
@@ -173,6 +195,16 @@ class TestOverlapLemma:
         result = fock_overlap_lemma_check(c, up, dn, cutoff=25)
         assert result.brute_force == pytest.approx(result.closed_form, abs=1e-10)
         assert result.fock_matrix_deviation < 1e-12
+
+    def test_brute_force_matches_pair_by_pair_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            c, up, dn = (radius * math.sqrt(rng.uniform())
+                         * cmath.exp(2j * math.pi * rng.uniform())
+                         for radius in (1.0, 1.2, 1.2))
+            result = fock_overlap_lemma_check(c, up, dn, cutoff=22)
+            expect = overlap_lemma_brute_force(c, up, dn, cutoff=22)
+            assert abs(result.brute_force - expect) <= 1e-13
 
     def test_identical_modes_reduce_to_plain_overlap(self):
         result = fock_overlap_lemma_check(1.0, 0.9, -0.7, cutoff=25)

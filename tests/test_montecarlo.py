@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,18 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
             MonteCarloConfig(**kwargs)
+
+    def test_direction_too_long_fails_without_warning(self):
+        # Its squared length passes float64: the check must say so with
+        # its ParameterError alone, not with an overflow warning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="direction"):
+                MonteCarloConfig(direction=(1e200, 1e200, 0.0))
+
+    def test_direction_past_float64_fails_with_parameter_error(self):
+        with pytest.raises(ParameterError, match="direction"):
+            MonteCarloConfig(direction=(10**400, 0, 0))
 
     def test_numpy_integers_pass(self):
         config = MonteCarloConfig(n_atoms=np.int64(6), n_runs=np.int32(3),
@@ -296,6 +309,16 @@ def test_runs_bit_identical_to_per_run_path(geometry, n, first_stream):
         got = (res.b, res.c_up_dn, res.s12, res.s12_sq)
         for field, expect in zip(got, montecarlo._sample_runs(config)):
             assert field.tobytes() == expect.tobytes()
+
+
+def test_lone_pair_tile_bit_identical_to_per_run_path():
+    # A tile holds 4,096 two-atom clouds, so the last run of a campaign
+    # of 4,097 has a tile of one pair to itself: its bits must be those
+    # of the same run evaluated alone, in a tile shared with another.
+    config = MonteCarloConfig(n_atoms=2, n_runs=4097, seed=5)
+    alone = runs_in_campaigns(config, 1, 1)
+    for field, expect in zip(montecarlo._sample_runs(config, 1), alone):
+        assert field.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("n, runs, groups", [

@@ -62,6 +62,16 @@ class TestPolarization:
         with pytest.raises(ParameterError):
             Polarization(jones=np.array([math.nan, 0.0, 0.0]))
 
+    def test_jones_is_a_read_only_copy(self):
+        # The scalar closed forms use the components taken when it was
+        # built, so the array they came from must not change under them.
+        source = Polarization.circular().jones.copy()
+        pol = Polarization(source)
+        source[:] = (0.0, 0.0, 1.0)
+        assert pol.jones.tobytes() == Polarization.circular().jones.tobytes()
+        with pytest.raises(ValueError):
+            pol.jones[0] = 1.0
+
     def test_circular_components(self):
         jones = Polarization.circular().jones
         assert jones[0] == pytest.approx(1.0 / math.sqrt(2.0))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -45,6 +46,12 @@ def test_zeta_rejects_bad_inputs():
 def test_rejects_bad_drive_direction(e_in):
     with pytest.raises(ParameterError, match="direction"):
         thermal_average_s12(33.4, Polarization.circular(), e_in)
+
+
+def test_rejects_drive_direction_past_float64():
+    # An integer component too large for a float64 is no finite number.
+    with pytest.raises(ParameterError, match="direction"):
+        thermal_average_s12(33.4, Polarization.circular(), (10**400, 0, 0))
 
 
 @pytest.mark.parametrize("study", [second_order_collective_overlap,
@@ -207,3 +214,25 @@ def test_far_cloud_statistics(zeta, pol):
     assert stats.rms > 0.0
     assert stats.mean == stats.low_density_mean
     assert stats.rms == stats.low_density_rms
+
+
+def test_statistics_bytes_pinned():
+    # sha256 of every statistic on a grid of cloud sizes (both sides of
+    # the small-zeta series switch, the reference cloud and the far
+    # forms), polarizations and drive directions, captured while the
+    # projections and Legendre weights still went through numpy arrays;
+    # the float path must give the same bits.
+    zetas = (0.01, 0.3, 0.999, 1.0, 5.0, 33.418892644112907, 80.0, 1e52, 1e200)
+    pols = (Polarization.circular(), Polarization.linear(),
+            Polarization.linear((0.0, 1.0, 1.0)))
+    directions = ((0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.3, -0.5, 0.8))
+    rows = []
+    for zeta in zetas:
+        for pol in pols:
+            for e_in in directions:
+                s = thermal_average_s12(zeta, pol, e_in)
+                rows.append((s.zeta, s.mean, s.mean_sq, s.rms,
+                             s.low_density_mean, s.low_density_rms))
+    assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == (
+        "110835d878024ec8dd81b7a8e28f20894a737d9459c3ebed196f3f433f0fc25d"
+    )
