@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, QubitBranch, lambda_factor, output_amplitudes
-from .errors import ParameterError
+from .errors import ParameterError, _require_finite
 
 
 def coherent_overlap(a: complex, b: complex) -> complex:
@@ -31,7 +31,8 @@ def coherent_overlap(a: complex, b: complex) -> complex:
 class CatState:
     """Qubit-correlated superposition of two coherent states.
 
-    ``theta`` is wrapped into [-pi, pi] on construction.
+    ``theta`` and both amplitudes must be finite; ``theta`` is wrapped
+    into [-pi, pi] on construction.
     """
 
     f: float
@@ -47,6 +48,8 @@ class CatState:
             raise ParameterError(
                 f"visibility must be in [0, 1], got {self.visibility!r}"
             )
+        for name in ("theta", "alpha_up", "alpha_dn"):
+            _require_finite(name, getattr(self, name))
         object.__setattr__(self, "theta", math.remainder(self.theta, math.tau))
 
 

@@ -133,15 +133,23 @@ class CavityParams:
 class DetuningSet:
     """Signal, cavity, and two-photon detunings.
 
-    ``delta_2_up`` defaults to the far-detuned sentinel: with a stored
-    excitation the blockade shift pushes the two-photon resonance out of
-    reach, so the coupling-laser term drops out exactly.
+    Each detuning is finite.  ``delta_2_up`` defaults to the far-detuned
+    sentinel: with a stored excitation the blockade shift pushes the
+    two-photon resonance out of reach, so the coupling-laser term drops
+    out exactly.  ``FAR_DETUNED`` is the one way to ask for an infinite
+    two-photon detuning, on either branch.
     """
 
     delta_c: float = 0.0
     delta_s: float = 0.0
     delta_2_up: "float | _FarDetuned" = FAR_DETUNED
     delta_2_dn: float = 0.0
+
+    def __post_init__(self):
+        for name in ("delta_c", "delta_s", "delta_2_up", "delta_2_dn"):
+            value = getattr(self, name)
+            if value is not FAR_DETUNED:
+                _require_finite(name, value)
 
     def delta_2(self, branch: QubitBranch) -> "float | _FarDetuned":
         return self.delta_2_up if branch is QubitBranch.UP else self.delta_2_dn

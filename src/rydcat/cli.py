@@ -123,25 +123,18 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
 
 
-def _render_csv(table: dict) -> str:
-    names = table["names"]
-    lines = [",".join(names)]
-    for row in table["rows"]:
+def _render_csv(columns: dict) -> str:
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _kv_table(results: dict) -> dict:
-    return {"names": ["key", "value"], "rows": list(results.items())}
 
 
 def _meta(args) -> dict:
@@ -152,36 +145,36 @@ def _write(path: str | None, text: str) -> None:
     """Write ``text`` to ``path``, or to stdout when it is None or ``-``."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output file: {exc}") from exc
 
 
 def _emit(
     args,
-    table: dict | None = None,
+    columns: dict | None = None,
     results: dict | None = None,
     fit: dict | None = None,
 ) -> None:
     """Write the payload in the chosen format.
 
-    ``table`` is a column table, ``results`` a flat key-value block
-    (rendered as a two-column table in CSV), and ``fit`` a fit summary
-    that appears only in JSON output and in the ``--fit-out`` file.
+    ``columns`` maps each column name to its values, ``results`` is a
+    flat key-value block (the two columns ``key`` and ``value`` in CSV),
+    and ``fit`` a fit summary that appears only in JSON output and in
+    the ``--fit-out`` file.
     """
     if args.format == "csv":
-        text = _render_csv(table if table is not None else _kv_table(results or {}))
+        if columns is None:
+            columns = {"key": list(results), "value": list(results.values())}
+        text = _render_csv(columns)
     else:
         payload: dict = {"meta": _meta(args)}
-        if table is not None:
-            payload["columns"] = {
-                name: [_jsonable(row[i]) for row in table["rows"]]
-                for i, name in enumerate(table["names"])
-            }
-        if results is not None:
-            payload["results"] = _jsonable(results)
-        if fit is not None:
-            payload["fit"] = _jsonable(fit)
+        for name, block in (("columns", columns), ("results", results), ("fit", fit)):
+            if block is not None:
+                payload[name] = _jsonable(block)
         text = json.dumps(payload, indent=2) + "\n"
     _write(args.out, text)
     if fit is not None and args.fit_out:
@@ -201,53 +194,32 @@ def cmd_amplitudes(args) -> None:
     params = CavityParams.from_coupling_strength(
         args.eta_esc, args.cooperativity, args.lambda_dn
     )
-    rows = []
-    for branch in _branches(args.branch):
-        amps = output_amplitudes(params, branch, args.alpha_in)
-        rows.append(
-            [
-                branch.value,
-                amps.r.real,
-                amps.r.imag,
-                amps.a.real,
-                amps.a.imag,
-                amps.m.real,
-                amps.m.imag,
-                amps.energy_residual,
-            ]
-        )
-    table = {
-        "names": [
-            "branch",
-            "r_re",
-            "r_im",
-            "a_re",
-            "a_im",
-            "m_re",
-            "m_im",
-            "energy_residual",
-        ],
-        "rows": rows,
-    }
-    _emit(args, table)
+    branches = _branches(args.branch)
+    amps = [output_amplitudes(params, branch, args.alpha_in) for branch in branches]
+    columns = {"branch": [branch.value for branch in branches]}
+    for name in ("r", "a", "m"):
+        values = [getattr(amp, name) for amp in amps]
+        columns[f"{name}_re"] = [value.real for value in values]
+        columns[f"{name}_im"] = [value.imag for value in values]
+    columns["energy_residual"] = [amp.energy_residual for amp in amps]
+    _emit(args, columns)
 
 
 def cmd_figure2(args) -> None:
-    sweep = sweep_loss_vs_coupling(args.eta_esc, args.cooperativity, args.lambda_grid)
-    names = list(sweep)
-    rows = [
-        [sweep[name][i] for name in names] for i in range(len(args.lambda_grid))
-    ]
-    _emit(args, {"names": names, "rows": rows})
+    _emit(
+        args,
+        sweep_loss_vs_coupling(args.eta_esc, args.cooperativity, args.lambda_grid),
+    )
 
 
 def cmd_figure3(args) -> None:
-    rows = []
-    for projection in args.projections:
-        values = pair_overlap_projected(args.kx_grid, projection)
-        for kx, v in zip(args.kx_grid, np.atleast_1d(values)):
-            rows.append([kx, projection, v])
-    _emit(args, {"names": ["kx", "projection", "v"], "rows": rows})
+    kx, projections = args.kx_grid, args.projections
+    columns = {
+        "kx": np.tile(kx, len(projections)),
+        "projection": np.repeat(projections, kx.size),
+        "v": np.concatenate([pair_overlap_projected(kx, p) for p in projections]),
+    }
+    _emit(args, columns)
 
 
 def _cloud_config(args, **fields) -> MonteCarloConfig:
@@ -265,17 +237,14 @@ def _cloud_config(args, **fields) -> MonteCarloConfig:
 
 def cmd_figure4(args) -> None:
     study = power_law_study(_cloud_config(args), args.n_grid, args.runs_budget)
-    rows = [
-        [int(study.n_atoms[i]), study.b_mean[i], study.b_sem[i], int(study.runs[i])]
-        for i in range(study.n_atoms.size)
-    ]
-    table = {"names": ["n_atoms", "b_mean", "b_sem", "runs"], "rows": rows}
-    fit = {
-        "c3": study.c3,
-        "c3_err": study.c3_err,
-        "free_slope": study.free_slope,
+    columns = {
+        "n_atoms": study.n_atoms,
+        "b_mean": study.b_mean,
+        "b_sem": study.b_sem,
+        "runs": study.runs,
     }
-    _emit(args, table=table, fit=fit)
+    fit = {"c3": study.c3, "c3_err": study.c3_err, "free_slope": study.free_slope}
+    _emit(args, columns, fit=fit)
 
 
 def cmd_headline(args) -> None:
@@ -324,16 +293,12 @@ def cmd_xcheck(args) -> None:
             abs(ss.e_mirror - exact.m),
             abs(spontaneous_amplitude(ss) - abs(exact.a)),
         )
-    rows = [
-        [study.finesse[i], study.max_error[i], steady_err]
-        for i in range(study.finesse.size)
-    ]
-    table = {
-        "names": ["finesse", "semiclassical_error", "steady_state_error"],
-        "rows": rows,
+    columns = {
+        "finesse": study.finesse,
+        "semiclassical_error": study.max_error,
+        "steady_state_error": [steady_err] * study.finesse.size,
     }
-    fit = {"slope": study.slope}
-    _emit(args, table=table, fit=fit)
+    _emit(args, columns, fit={"slope": study.slope})
 
 
 def cmd_mc(args) -> None:

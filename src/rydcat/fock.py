@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catstate import CatState
-from .errors import ParameterError, _integer
+from .errors import ParameterError, _integer, _require_finite
 
 
 def default_cutoff(*alphas: complex) -> int:
@@ -27,6 +27,8 @@ def default_cutoff(*alphas: complex) -> int:
     Sized so the tail of the largest coherent state is far below any
     tolerance used in the tests (norm deficit well under 1e-10).
     """
+    for alpha in alphas:
+        _require_finite("alpha", alpha)
     biggest = max((abs(a) for a in alphas), default=0.0)
     return math.ceil(biggest**2 + 10.0 * biggest + 20.0)
 
@@ -37,6 +39,7 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     The returned vector has ``cutoff + 1`` entries and is not
     renormalized: its norm deficit measures the truncation error.
     """
+    _require_finite("alpha", alpha)
     cutoff = _integer("cutoff", cutoff, minimum=0)
     vec = np.empty(cutoff + 1, dtype=complex)
     vec[0] = math.exp(-0.5 * abs(alpha) ** 2)

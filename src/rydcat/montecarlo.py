@@ -20,15 +20,11 @@ from .overlap import (
     Polarization,
     _cloud_widths,
     collective_pairs,
+    group_clouds,
     incident_wavevector,
-    tile_clouds,
 )
 
 _WORKERS_ENV = "RYDCAT_WORKERS"
-# Atom pairs of the runs reduced together, in whole tiles of clouds: one
-# drive phase and one branch reduction serve them all, and the 8 B per
-# pair that ``collective_pairs`` keeps stays at 512 KB.
-_GROUP_PAIRS = 2**16
 
 
 @dataclass(frozen=True)
@@ -112,18 +108,17 @@ def _sample_runs(config: MonteCarloConfig, first_stream: int = 0):
     """Per-run b, c, s12 and s12_sq of ``config.n_runs`` clouds.
 
     Run i draws its cloud from the Philox stream keyed by (seed,
-    first_stream + i).  Small clouds are reduced together, as many whole
-    pair tiles of them (``overlap.tile_clouds``) as fit in
-    ``_GROUP_PAIRS`` pairs.  A run's numbers depend on its key alone,
-    never on the clouds it shares a tile or a group with.
+    first_stream + i).  The runs are reduced in groups of
+    ``overlap.group_clouds`` clouds.  A run's numbers depend on its key
+    alone, never on the clouds it shares a tile or a group with.
     """
-    n = config.n_atoms
-    per_tile = tile_clouds(n)
-    per_group = per_tile * max(1, _GROUP_PAIRS // (per_tile * (n * (n - 1) // 2)))
+    per_group = group_clouds(config.n_atoms)
     streams = range(first_stream, first_stream + config.n_runs)
-    groups = [streams[i:i + per_group] for i in range(0, len(streams), per_group)]
     k_in = incident_wavevector(config.wavelength, config.direction)
-    parts = [_sample_group(config, k_in, group) for group in groups]
+    parts = [
+        _sample_group(config, k_in, streams[i:i + per_group])
+        for i in range(0, len(streams), per_group)
+    ]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -263,6 +263,24 @@ def tile_clouds(n_atoms: int) -> int:
     return max(1, _TILE_PAIRS // (n_atoms * (n_atoms - 1) // 2))
 
 
+# Atom pairs of the clouds stacked into one ``collective_pairs`` call.
+_GROUP_PAIRS = 2**16
+
+
+def group_clouds(n_atoms: int) -> int:
+    """Clouds of ``n_atoms`` to stack into one ``collective_pairs`` call.
+
+    As many whole tiles of clouds (``tile_clouds``) as fit in
+    ``_GROUP_PAIRS`` pairs, and at least one tile: one drive phase and
+    one branch reduction serve them all, and the call's store of
+    rectangles grows with the pair count alone.  A cloud's results
+    never depend on the clouds it is stacked with.
+    """
+    per_tile = tile_clouds(n_atoms)
+    pairs = per_tile * (n_atoms * (n_atoms - 1) // 2)
+    return per_tile * max(1, _GROUP_PAIRS // pairs)
+
+
 def _pair_kernel(coords, i, j, wavenumber, jones):
     # Real overlap kernels of the atom pairs (i[m], j[m]) of atoms with
     # coordinates ``coords`` (3, M): one square root and one tangent per
@@ -406,38 +424,28 @@ def _row_blocks(n_atoms: int) -> tuple[tuple[int, int], ...]:
     return tuple(blocks)
 
 
-def _tiles(n_atoms: int, clouds: int):
-    # Pair tiles of ``clouds`` stacked clouds of ``n_atoms`` atoms: for each
-    # chunk of at most ``tile_clouds(n_atoms)`` consecutive clouds, one tile
-    # per row block, as (chunk, start, stop, i, j, cells).  ``chunk`` is
-    # the chunk's range of clouds; i, j and cells are those of
-    # ``_pair_block`` and number the chunk's atoms from 0, so they index
-    # views of per-atom arrays cut to the chunk.  Index blocks are cached
-    # for a full chunk and cut here, so a last, partial chunk adds no entry.
-    stacked = tile_clouds(n_atoms)
-    for first in range(0, clouds, stacked):
-        chunk = range(first, min(first + stacked, clouds))
-        for start, stop in _row_blocks(n_atoms):
-            i, j, cells = _pair_block(n_atoms, start, stop, stacked)
-            size = len(chunk) * (i.size // stacked)
-            yield chunk, start, stop, i[:size], j[:size], cells[:size]
-
-
-def _atoms(chunk: range, n_atoms: int) -> slice:
-    # The atoms of a chunk of stacked clouds, numbered cloud by cloud.
-    return slice(chunk.start * n_atoms, chunk.stop * n_atoms)
-
-
 def _tile_kernels(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray):
-    # ``_tiles`` of the stacked clouds ``positions`` (R, N, 3), each with
-    # its pairs' real kernels appended; a pair's bits depend on its atoms
-    # alone.
+    # Pair tiles of the stacked clouds ``positions`` (R, N, 3): for each
+    # chunk of at most ``tile_clouds(N)`` consecutive clouds, one tile per
+    # row block, as (clouds, start, stop, i, j, cells, kernel).  ``clouds``
+    # slices the chunk out of the stack; i, j and cells are those of
+    # ``_pair_block`` and number the chunk's atoms from 0; ``kernel`` holds
+    # the pairs' real kernels, whose bits depend on their atoms alone.
+    # Index blocks are cached for a full chunk and cut here, so a last,
+    # partial chunk adds no entry.
     r, n, _ = positions.shape
     coords = np.ascontiguousarray(positions.reshape(r * n, 3).T)
     wavenumber = float(np.linalg.norm(k_in))
-    for chunk, start, stop, i, j, cells in _tiles(n, r):
-        kernel = _pair_kernel(coords[:, _atoms(chunk, n)], i, j, wavenumber, jones)
-        yield chunk, start, stop, i, j, cells, kernel
+    stacked = tile_clouds(n)
+    for first in range(0, r, stacked):
+        last = min(first + stacked, r)
+        atoms = coords[:, first * n:last * n]
+        for start, stop in _row_blocks(n):
+            i, j, cells = _pair_block(n, start, stop, stacked)
+            size = (last - first) * (i.size // stacked)
+            i, j, cells = i[:size], j[:size], cells[:size]
+            kernel = _pair_kernel(atoms, i, j, wavenumber, jones)
+            yield slice(first, last), start, stop, i, j, cells, kernel
 
 
 def overlap_matrix(cloud: AtomCloud, polarization: Polarization) -> OverlapMatrix:
@@ -593,16 +601,16 @@ def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray)
         phase = _drive_phase(positions, k_in)
         conj_pairs = np.conjugate(phase).view(float).reshape(r, n, 2)
         tiles = _tile_kernels(positions, k_in, jones)
-        for chunk, start, stop, _, _, cells, kernel in tiles:
-            clouds = slice(chunk.start, chunk.stop)
-            size = len(chunk) * (stop - start) * (n - start)
+        for clouds, start, stop, _, _, cells, kernel in tiles:
+            count = clouds.stop - clouds.start
+            size = count * (stop - start) * (n - start)
             flat, store = store[:size], store[size:]
             flat[cells] = kernel
-            block = flat.reshape(len(chunk), stop - start, n - start)
+            block = flat.reshape(count, stop - start, n - start)
             e = conj_pairs[clouds, start:]
             upper[clouds, start:stop] = block @ e
             lower[clouds, start:] += block.swapaxes(1, 2) @ e[:, :stop - start]
-            per_cloud = kernel.reshape(len(chunk), -1)
+            per_cloud = kernel.reshape(count, -1)
             total_sq[clouds] += np.einsum("ij,ij->i", per_cloud, per_cloud)
             blocks.append((clouds, start, stop, block))
         row = phase * (upper + lower).view(complex)[..., 0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _require_positive
+from .errors import _integer, _require_positive
 from .overlap import (
     Polarization,
     _cloud_widths,
@@ -156,11 +156,9 @@ def second_order_collective_overlap(
     is its negation.  Exact in the pair statistics, perturbative in the
     overlap smallness.
     """
-    if not n_atoms >= 2:
-        raise ParameterError(f"n_atoms must be >= 2, got {n_atoms!r}")
+    n = _integer("n_atoms", n_atoms, minimum=2)
     _warn_if_dense(zeta)
     stats = thermal_average_s12(zeta, polarization, e_in)
-    n = n_atoms
     return -(n - 2.0) / (4.0 * n * (n - 1.0) ** 3) * stats.mean_sq
 
 
@@ -171,11 +169,10 @@ def second_order_large_n(
     e_in=(0.0, 0.0, -1.0),
 ) -> float:
     """Large-atom-number limit of the second-order overlap shift."""
-    if not n_atoms >= 2:
-        raise ParameterError(f"n_atoms must be >= 2, got {n_atoms!r}")
+    n = _integer("n_atoms", n_atoms, minimum=2)
     _warn_if_dense(zeta)
     stats = thermal_average_s12(zeta, polarization, e_in)
-    return -stats.mean_sq / (4.0 * n_atoms**3)
+    return -stats.mean_sq / (4.0 * n**3)
 
 
 def predicted_power_law_coefficient(

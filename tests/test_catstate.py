@@ -48,6 +48,20 @@ class TestCatState:
         with pytest.raises(ParameterError):
             CatState(f=f, theta=0.0, visibility=v, alpha_up=1.0, alpha_dn=-1.0)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_theta(self, theta):
+        with pytest.raises(ParameterError, match="theta"):
+            CatState(f=0.5, theta=theta, visibility=1.0, alpha_up=1.0, alpha_dn=-1.0)
+
+    @pytest.mark.parametrize("amplitude", [
+        complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 1.0),
+    ])
+    @pytest.mark.parametrize("name", ["alpha_up", "alpha_dn"])
+    def test_rejects_non_finite_amplitudes(self, name, amplitude):
+        fields = {"alpha_up": 1.0, "alpha_dn": -1.0, name: amplitude}
+        with pytest.raises(ParameterError, match=name):
+            CatState(f=0.5, theta=0.0, visibility=1.0, **fields)
+
 
 class TestBeamSplitter:
     def test_half_loss_on_size_root_two_cat(self):
@@ -102,6 +116,11 @@ class TestBeamSplitter:
 
 
 class TestGenerateCat:
+    @pytest.mark.parametrize("theta0", [math.inf, math.nan])
+    def test_rejects_non_finite_theta0(self, theta0):
+        with pytest.raises(ParameterError, match="theta"):
+            generate_cat(headline_params(), 0.5, 1.0, theta0, 1.0)
+
     def test_reflected_amplitudes_and_size(self):
         cat, lost = generate_cat(headline_params(), 0.5, 1.0, 0.0, 1.0)
         assert cat.alpha_up == pytest.approx(-0.91068181818181818)

@@ -158,6 +158,15 @@ class TestReflectionCoefficient:
         dn = effective_cooperativity(p, det, QubitBranch.DOWN)
         assert up == dn == pytest.approx(21.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["delta_c", "delta_s", "delta_2_up", "delta_2_dn"])
+    def test_detunings_must_be_finite(self, name, value):
+        # FAR_DETUNED, not a float infinity, asks for an infinite
+        # two-photon detuning; a NaN or inf would make the reflection
+        # coefficient nan+nanj.
+        with pytest.raises(ParameterError, match=name):
+            DetuningSet(**{name: value})
+
     @given(eta=ETA, coop=COOP, lam=LAM, dc=DETUNING, ds=DETUNING, d2=DETUNING)
     def test_reflection_is_passive(self, eta, coop, lam, dc, ds, d2):
         p = CavityParams.from_coupling_strength(eta, coop, lam)

@@ -48,6 +48,91 @@ GOLDEN_SHA256 = {
     ("figure4", "csv"): "d99a1cbf1cbad3c60e46e9bea0013f646329f24c46b1ca606895c98537eed07b",
     ("figure4", "json"): "9e4be2bba7f55bd1ea5f949cbd073c890543a64db6f08109bebca6cf2a5c6331",
 }
+# sha256 of the full stdout of further invocations, captured alongside
+# GOLDEN_SHA256 before the CLI's tables became columns: single branches,
+# the asymptotic and "unbounded" headline blocks, empty, one-point and
+# one-projection grids, and small runs off the default geometry.
+EXTRA_SHA256 = {
+    ("amplitudes --branch up", "csv"):
+        "9d3868044f2a65b8a4b432692fee1e0d1a6fc64d2b0e8dff5de3f73d6ba7d280",
+    ("amplitudes --branch up", "json"):
+        "b8e02c93464fc2da588a462674c75b0a6aaa74192ee821acdd1e3eb2d7a369a6",
+    ("amplitudes --branch dn", "csv"):
+        "0f0db0b6494377eb86689bb9ce5de0d2a0d20f1ffa482a5dd20d0e867f99d3fc",
+    ("amplitudes --branch dn", "json"):
+        "3460969c69d028537c960780e15ac6a769bee2c0ee3aad0b6fd6badb53ea534a",
+    ("amplitudes --alpha-in 0.5+0.25j --cooperativity 3", "csv"):
+        "df965cf3611f67a45f1ba67443b6e39d1021abf009e61cd6885ec8154a9d9c83",
+    ("amplitudes --alpha-in 0.5+0.25j --cooperativity 3", "json"):
+        "a4360804eed0c697c81dff6999b00c0d4e2873b062a18c351330d0308b83bdb6",
+    ("headline --lambda-inf", "csv"):
+        "de2c98cbb21e33d95dcc6518471206680eaf4a0dfe6f873261aa021dc1ef3cac",
+    ("headline --lambda-inf", "json"):
+        "01fd3ac23cec4fa66aaff98df638d052074b596c51d6dc9c3c1f0a973d9a5f9a",
+    ("headline --eta-esc 1 --cooperativity 2", "csv"):
+        "14a6eff663872eb7c29b8f6f84b9c6507b4e06f3905d9d0cedba14e735a70d5a",
+    ("headline --eta-esc 1 --cooperativity 2", "json"):
+        "48aecf218c5133d78d8e44a2cc1823e6b22bca746c31af95ba1a7d78146eafb4",
+    ("figure2 --lambda-grid 1:100:5", "csv"):
+        "ea116568e5132b70f8ff293cb411d0da29c88d651a8f4bca46cfa245f2bbf5e1",
+    ("figure2 --lambda-grid 1:100:5", "json"):
+        "fc4d2cce7d7fb827a965030e38069425e9461deb558eba83d15726252934e10f",
+    ("figure2 --lambda-grid 3:3:1", "csv"):
+        "c8bb0519048d4ea1bd39b69085c8dd8314fd5b24aa064ca19a46fa69cea2e193",
+    ("figure2 --lambda-grid 3:3:1", "json"):
+        "01ab1a820a166177bde7fd097b2a65d018f8a9ae345f08d2e1e9b2e4db2be6f8",
+    ("figure3 --kx-grid 0:1:0", "csv"):
+        "4144e513e533535a28eb05c760bd562ae979fc025e728f18f09bbd37d6c35fd3",
+    ("figure3 --kx-grid 0:1:0", "json"):
+        "de2a862867c805499c81de901638b08dc6ec61987009e9a6079dd201f328dbbf",
+    ("figure3 --kx-grid 0:1:1", "csv"):
+        "36296b7c79c94f35ebf5fff46ff45c5aa18c5f39ce2b215b5a92a1e78e82d434",
+    ("figure3 --kx-grid 0:1:1", "json"):
+        "2e555e28e2caf9c7c78d92c7d103da069336aa9ed3d7b5b5866d3b5a60374e37",
+    ("figure3 --kx-grid 0:10:5 --projections 0.5", "csv"):
+        "81a3716db3a411581dc3410eefa237bcc19b20e70b2303a067cecc7dafe2066a",
+    ("figure3 --kx-grid 0:10:5 --projections 0.5", "json"):
+        "a5f2b7174842bc7a47459d6963a294ba326dd2619c0f0bbfbcc0498f997ad6e6",
+    ("figure4 --n-grid 4,7 --runs-budget 150 --polarization linear_x", "csv"):
+        "25e8beec582b46017e3587b7e878ebf82a7121e4383ef7e9a7c31d719417c1fc",
+    ("figure4 --n-grid 4,7 --runs-budget 150 --polarization linear_x", "json"):
+        "89b15b754476e1f81f435e4c6f41aefb663c9b90e2ddcabca4afea3e26d294b1",
+    ("xcheck --finesse-grid 1e2:1e4:3", "csv"):
+        "9787d50e6011a19d675287dd70c294c0d4cb45237d989931193aeb1daf6f77a7",
+    ("xcheck --finesse-grid 1e2:1e4:3", "json"):
+        "a8939b157ba40d65f384007307cbf9f5be8ce3e3a71a236047e50f589f81f9d7",
+    ("xcheck --finesse-grid 3e2:3e5:2 --lambda-dn 40", "csv"):
+        "bc62af69e2e095292ac2c192dc411d0871a92865f13ed6ce121deda795ba4488",
+    ("xcheck --finesse-grid 3e2:3e5:2 --lambda-dn 40", "json"):
+        "8ec97836ee3527d8e22d9694095558d186fe7ac06b654b54dbaed69da6db8486",
+    ("mc --n-atoms 8 --n-runs 4 --isotropic", "csv"):
+        "3bad63c5f7036aee8addfa9e088e37d01a772c06e6a14f7bf408ab3d29190bd4",
+    ("mc --n-atoms 8 --n-runs 4 --isotropic", "json"):
+        "c9d5b9a2efc7595b8782c8f9147f47234cbabe834108328985372b5ad7da57ec",
+    ("mc --n-atoms 5 --n-runs 3 --polarization linear_z --seed 7", "csv"):
+        "a68f74d4b4ab2adeee724c99b73afed173645a504fdff4574789d19ccfa85569",
+    ("mc --n-atoms 5 --n-runs 3 --polarization linear_z --seed 7", "json"):
+        "1cc51a4dd4ff0ae6d8193280ca2bf15bfb706c47b0ebcad2efe54df3583fef76",
+}
+# sha256 of the files written by --out and --fit-out (stdout stays empty).
+FILE_SHA256 = {
+    ("figure4 --n-grid 3:4 --runs-budget 100", "csv", "out"):
+        "1780800f321aa7bb3b177b860df68760b5b7c895cd1170cac118d1bd830ef287",
+    ("figure4 --n-grid 3:4 --runs-budget 100", "csv", "fit-out"):
+        "a84b7040e9f7a96c30c7de1164bfd030e733e9464821ed196b79756e829f25f7",
+    ("figure4 --n-grid 3:4 --runs-budget 100", "json", "out"):
+        "d442b489a267210447c73959b81f9dc60ee33325298cfb8adeec766457a76889",
+    ("figure4 --n-grid 3:4 --runs-budget 100", "json", "fit-out"):
+        "a84b7040e9f7a96c30c7de1164bfd030e733e9464821ed196b79756e829f25f7",
+    ("xcheck --finesse-grid 1e2:1e4:3", "csv", "out"):
+        "9787d50e6011a19d675287dd70c294c0d4cb45237d989931193aeb1daf6f77a7",
+    ("xcheck --finesse-grid 1e2:1e4:3", "csv", "fit-out"):
+        "49b7e971ddf54006afefdeb3a7fa35994e24f1c0db9c782af8ba760196c8b669",
+    ("xcheck --finesse-grid 1e2:1e4:3", "json", "out"):
+        "a8939b157ba40d65f384007307cbf9f5be8ce3e3a71a236047e50f589f81f9d7",
+    ("xcheck --finesse-grid 1e2:1e4:3", "json", "fit-out"):
+        "49b7e971ddf54006afefdeb3a7fa35994e24f1c0db9c782af8ba760196c8b669",
+}
 GOLDEN_ARGS = {
     "mc": ("--n-atoms", "20", "--n-runs", "4"),
     "figure4": ("--n-grid", "3:6", "--runs-budget", "200"),
@@ -60,6 +145,26 @@ def test_golden_output(capsys, command, fmt):
                         "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command, fmt]
+
+
+@pytest.mark.parametrize("argv,fmt", sorted(EXTRA_SHA256))
+def test_extra_output_pinned(capsys, argv, fmt):
+    code, out = run_cli(capsys, *argv.split(), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXTRA_SHA256[argv, fmt]
+
+
+@pytest.mark.parametrize("argv,fmt", sorted({key[:2] for key in FILE_SHA256}))
+def test_output_files_pinned(capsys, tmp_path, argv, fmt):
+    paths = {"out": tmp_path / "out", "fit-out": tmp_path / "fit"}
+    code, out = run_cli(capsys, *argv.split(), "--format", fmt,
+                        "--out", str(paths["out"]),
+                        "--fit-out", str(paths["fit-out"]))
+    assert code == 0
+    assert out == ""
+    for which, path in paths.items():
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == FILE_SHA256[argv, fmt, which], which
 
 
 class TestExitCodes:
@@ -295,6 +400,20 @@ class TestOutputFile:
     def test_dash_means_stdout(self, capsys):
         _, out = run_cli(capsys, "headline", "--out", "-")
         assert out.startswith("key,value\n")
+
+    @pytest.mark.parametrize("flag", ["--out", "--fit-out"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_path_is_two(self, capsys, tmp_path, flag, where):
+        # One line on stderr and exit 2, as for an unreadable --config.
+        path = tmp_path
+        if where == "missing directory":
+            path = tmp_path / "absent" / "x.json"
+        argv = ["xcheck", "--finesse-grid", "1e2:1e4:3", "--out", "-",
+                flag, str(path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("rydcat: invalid parameter: cannot write output file: ")
 
 
 class TestConfigFile:

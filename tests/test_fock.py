@@ -172,6 +172,15 @@ class TestCatDensityMatrix:
         rho = cat_density_matrix(self.make_cat(visibility=1.0))
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_rejects_non_finite_amplitude(self, amplitude):
+        # CatState refuses one; a cat whose field was set past the
+        # constructor still fails at the cutoff, not in math.ceil.
+        cat = self.make_cat()
+        object.__setattr__(cat, "alpha_dn", amplitude)
+        with pytest.raises(ParameterError, match="alpha"):
+            cat_density_matrix(cat)
+
     def test_reduced_visibility_state_is_mixed(self):
         rho = cat_density_matrix(self.make_cat(visibility=0.6))
         assert np.trace(rho @ rho).real < 0.9
@@ -237,3 +246,25 @@ def test_default_cutoff_scales_with_amplitude():
     assert default_cutoff() == 20
     assert default_cutoff(1.0) == 31
     assert default_cutoff(1.0, 3.0 + 0.0j) > default_cutoff(1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_beam_splitter_pair_rejects_non_finite_amplitude(alpha):
+    with pytest.raises(ParameterError, match="alpha"):
+        beam_splitter_pair(alpha, 0.3)
+    with pytest.raises(ParameterError, match="alpha"):
+        beam_splitter_pair(alpha, 0.3, cutoff=4)
+
+
+@pytest.mark.parametrize("alphas", [(math.nan,), (1.0, math.nan), (math.inf, 1.0)])
+def test_default_cutoff_rejects_non_finite_amplitudes(alphas):
+    # The cutoff cat_density_matrix picks; a NaN after a finite value
+    # would otherwise drop out of max() unseen.
+    with pytest.raises(ParameterError, match="alpha"):
+        default_cutoff(*alphas)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, complex(math.inf, 0.0)])
+def test_coherent_state_rejects_non_finite_amplitude(alpha):
+    with pytest.raises(ParameterError, match="alpha"):
+        coherent_state(alpha, 3)

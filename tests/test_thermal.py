@@ -61,6 +61,15 @@ def test_second_order_rejects_nan_atom_number(study):
         study(33.4, math.nan, Polarization.circular())
 
 
+@pytest.mark.parametrize("n_atoms", [2.5, 3.0, math.inf])
+@pytest.mark.parametrize("study", [second_order_collective_overlap,
+                                   second_order_large_n])
+def test_second_order_rejects_non_integer_atom_number(study, n_atoms):
+    # 2.5 once gave a number and inf gave -0.0.
+    with pytest.raises(ParameterError, match="n_atoms"):
+        study(33.4, n_atoms, Polarization.circular())
+
+
 class TestReferenceCloud:
     def stats(self):
         zeta = zeta_from_sigmas(SIGMAS, WAVELENGTH)
