@@ -204,6 +204,33 @@ def _l_gen_closed(e: float, c: float, lam: float) -> float:
     return 1.0 - _eta(e, c) * _sq(lam + 1.0) / (_sq(lam) + c)
 
 
+def _budget(e: float, c: float, lam, b_mode: float = 0.0) -> dict:
+    """The seven ``LossBudget`` fields at a float or an array of ``lam``."""
+    l_cav = _l_cav(e, c, lam)
+    l_a = _l_a(e, c, lam)
+    l_m = _l_m(e, c, lam)
+    a_mode = _a_mode(e, c, lam)
+    l_mode = a_mode * b_mode
+    l_ell = l_a + l_m + l_mode
+    survival = 1.0 - l_cav + l_ell
+    # Removable 0/0 at lam = 1 with no mode mismatch; use the limit.
+    if isinstance(lam, np.ndarray):
+        l_gen = np.where(survival == 0.0, _l_gen_closed(e, c, lam), l_ell / survival)
+    elif survival == 0.0:
+        l_gen = _l_gen_closed(e, c, lam)
+    else:
+        l_gen = l_ell / survival
+    return {"l_cav": l_cav, "l_a": l_a, "l_m": l_m, "l_mode": l_mode,
+            "l_ell": l_ell, "l_gen": l_gen, "a_mode": a_mode}
+
+
+def _cooperativity(params: CavityParams) -> float:
+    """The cooperativity, which every loss figure needs to be > 0."""
+    if params.cooperativity == 0.0:
+        raise ParameterError("loss budget needs cooperativity > 0")
+    return params.cooperativity
+
+
 def loss_budget(params: CavityParams, b_mode: float = 0.0) -> LossBudget:
     """Full decoherence budget of cat generation.
 
@@ -219,32 +246,9 @@ def loss_budget(params: CavityParams, b_mode: float = 0.0) -> LossBudget:
     """
     if not 0.0 <= b_mode <= 2.0:
         raise ParameterError(f"b_mode must be in [0, 2], got {b_mode!r}")
-    if params.cooperativity == 0.0:
-        raise ParameterError("loss budget needs cooperativity > 0")
-    e = params.eta_esc
-    c = params.cooperativity
+    c = _cooperativity(params)
     lam = lambda_factor(params, QubitBranch.DOWN)
-    l_cav = _l_cav(e, c, lam)
-    l_a = _l_a(e, c, lam)
-    l_m = _l_m(e, c, lam)
-    a_mode = _a_mode(e, c, lam)
-    l_mode = a_mode * b_mode
-    l_ell = l_a + l_m + l_mode
-    survival = 1.0 - l_cav + l_ell
-    if survival == 0.0:
-        # Removable 0/0 at lam = 1 with no mode mismatch; use the limit.
-        l_gen = _l_gen_closed(e, c, lam)
-    else:
-        l_gen = l_ell / survival
-    return LossBudget(
-        l_cav=l_cav,
-        l_a=l_a,
-        l_m=l_m,
-        l_mode=l_mode,
-        l_ell=l_ell,
-        l_gen=l_gen,
-        a_mode=a_mode,
-    )
+    return LossBudget(**_budget(params.eta_esc, c, lam, b_mode))
 
 
 def optimal_lambda(params: CavityParams) -> float:
@@ -255,9 +259,7 @@ def optimal_lambda(params: CavityParams) -> float:
     reachable range (the coupling strength is at least 1) and the loss
     grows monotonically from the boundary, so the boundary wins.
     """
-    if params.cooperativity == 0.0:
-        raise ParameterError("optimal coupling strength needs cooperativity > 0")
-    return max(1.0, params.cooperativity)
+    return max(1.0, _cooperativity(params))
 
 
 def max_photon_number(params: CavityParams, visibility_ratio: float) -> float:
@@ -272,9 +274,7 @@ def max_photon_number(params: CavityParams, visibility_ratio: float) -> float:
         raise ParameterError(
             f"visibility_ratio must be in (0, 1), got {visibility_ratio!r}"
         )
-    if params.cooperativity == 0.0:
-        raise ParameterError("cat generation needs cooperativity > 0")
-    lam = max(1.0, params.cooperativity)
+    lam = optimal_lambda(params)
     l_gen = _l_gen_closed(params.eta_esc, params.cooperativity, lam)
     if l_gen == 0.0:
         raise ParameterError(
@@ -298,28 +298,14 @@ def sweep_loss_vs_coupling(
     if not np.all(grid >= 1.0):
         raise ParameterError("lambda_grid values must be >= 1")
     params = CavityParams(eta_esc, cooperativity)
-    if params.cooperativity == 0.0:
-        raise ParameterError("loss budget needs cooperativity > 0")
-    e, c = params.eta_esc, params.cooperativity
+    e, c = params.eta_esc, _cooperativity(params)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # The coupling strength loss_budget reads back from the Rabi
         # frequency that CavityParams.from_coupling_strength picks, at
         # gamma = gamma_rg = 1.
         omega_c = np.sqrt(2.0 * (_sq(grid) - 1.0))
         lam = np.sqrt(1.0 + _sq(omega_c) / 2.0)
-        a_mode = _a_mode(e, c, lam)
-        budget = {
-            "l_cav": _l_cav(e, c, lam),
-            "l_a": _l_a(e, c, lam),
-            "l_m": _l_m(e, c, lam),
-            "l_mode": a_mode * 0.0,
-            "a_mode": a_mode,
-        }
-        budget["l_ell"] = budget["l_a"] + budget["l_m"] + budget["l_mode"]
-        survival = 1.0 - budget["l_cav"] + budget["l_ell"]
-        budget["l_gen"] = np.where(
-            survival == 0.0, _l_gen_closed(e, c, lam), budget["l_ell"] / survival
-        )
+        budget = _budget(e, c, lam)
         # output_amplitudes' scattered amplitude per unit input.
         a_dn = 2.0 * math.sqrt(e * c) / (lam * (1.0 + c / _sq(lam)))
     in_range = np.logical_and.reduce(

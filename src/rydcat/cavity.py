@@ -47,6 +47,10 @@ class _FarDetuned:
     def __repr__(self):
         return "FAR_DETUNED"
 
+    def __abs__(self):
+        # Infinite, so a finiteness check refuses the sentinel by name.
+        return math.inf
+
 
 FAR_DETUNED = _FarDetuned()
 
@@ -137,18 +141,19 @@ class DetuningSet:
     sentinel: with a stored excitation the blockade shift pushes the
     two-photon resonance out of reach, so the coupling-laser term drops
     out exactly.  ``FAR_DETUNED`` is the one way to ask for an infinite
-    two-photon detuning, on either branch.
+    two-photon detuning, on either branch; the signal and cavity
+    detunings refuse it.
     """
 
     delta_c: float = 0.0
     delta_s: float = 0.0
     delta_2_up: "float | _FarDetuned" = FAR_DETUNED
-    delta_2_dn: float = 0.0
+    delta_2_dn: "float | _FarDetuned" = 0.0
 
     def __post_init__(self):
         for name in ("delta_c", "delta_s", "delta_2_up", "delta_2_dn"):
             value = getattr(self, name)
-            if value is not FAR_DETUNED:
+            if value is not FAR_DETUNED or name in ("delta_c", "delta_s"):
                 _require_finite(name, value)
 
     def delta_2(self, branch: QubitBranch) -> "float | _FarDetuned":
@@ -201,21 +206,17 @@ def lambda_factor(params: CavityParams, branch: QubitBranch) -> float:
 
 
 def _response_denominator(
-    gamma: float,
-    omega_c: float,
-    gamma_rg: float,
-    det: DetuningSet,
-    branch: QubitBranch,
+    params: CavityParams, det: DetuningSet, branch: QubitBranch
 ) -> complex:
     """Dressed atomic response denominator of the medium for one branch."""
     delta_2 = det.delta_2(branch)
-    den = gamma - 1j * det.delta_s
+    den = params.gamma - 1j * det.delta_s
     if delta_2 is FAR_DETUNED:
         return den
-    two_photon = 2.0 * gamma_rg - 4j * delta_2
+    two_photon = 2.0 * params.gamma_rg - 4j * delta_2
     if two_photon == 0:
         raise NumericalError("two-photon denominator vanished")
-    return den + omega_c**2 / two_photon
+    return den + params.omega_c**2 / two_photon
 
 
 def effective_cooperativity(
@@ -227,9 +228,7 @@ def effective_cooperativity(
     atomic response of the transparent branch by the squared coupling
     strength, while the blockaded branch keeps the bare value.
     """
-    den = _response_denominator(
-        params.gamma, params.omega_c, params.gamma_rg, det, branch
-    )
+    den = _response_denominator(params, det, branch)
     return params.cooperativity * params.gamma / den
 
 

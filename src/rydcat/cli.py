@@ -248,11 +248,9 @@ def cmd_figure4(args) -> None:
 
 
 def cmd_headline(args) -> None:
-    params = CavityParams.from_coupling_strength(
-        args.eta_esc, args.cooperativity, max(1.0, args.cooperativity)
-    )
+    cavity = CavityParams(args.eta_esc, args.cooperativity)
     if args.lambda_inf:
-        eta = params.eta_esc * params.cooperativity / (params.cooperativity + 1.0)
+        eta = cavity.eta_esc * cavity.cooperativity / (cavity.cooperativity + 1.0)
         results = {
             "eta": eta,
             "l_gen": 1.0 - eta,
@@ -261,13 +259,17 @@ def cmd_headline(args) -> None:
         }
         _emit(args, results=results)
         return
+    lambda_opt = optimal_lambda(cavity)
+    params = CavityParams.from_coupling_strength(
+        args.eta_esc, args.cooperativity, lambda_opt
+    )
     budget = loss_budget(params)
     if params.eta_esc == 1.0 and params.cooperativity >= 1.0:
         alpha_sq: float | str = "unbounded"
     else:
         alpha_sq = max_photon_number(params, args.visibility_ratio)
     results = {
-        "lambda_opt": optimal_lambda(params),
+        "lambda_opt": lambda_opt,
         "l_gen": budget.l_gen,
         "l_cav": budget.l_cav,
         "alpha_out_sq_at_ratio": alpha_sq,

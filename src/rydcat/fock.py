@@ -21,6 +21,21 @@ from .catstate import CatState
 from .errors import ParameterError, _integer, _require_finite
 
 
+def _photon_number(alpha: complex) -> float:
+    """Mean photon number |alpha|^2 of a finite coherent amplitude.
+
+    An amplitude whose |alpha|^2 leaves float64 (|alpha| past about
+    1.3e154) is refused by name rather than with an ``OverflowError``.
+    """
+    try:
+        _require_finite("alpha", alpha)
+        return abs(alpha) ** 2
+    except OverflowError:
+        raise ParameterError(
+            f"alpha is too large: |alpha|^2 overflows float64, got {alpha!r}"
+        ) from None
+
+
 def default_cutoff(*alphas: complex) -> int:
     """Photon-number cutoff large enough for the given amplitudes.
 
@@ -28,7 +43,7 @@ def default_cutoff(*alphas: complex) -> int:
     tolerance used in the tests (norm deficit well under 1e-10).
     """
     for alpha in alphas:
-        _require_finite("alpha", alpha)
+        _photon_number(alpha)
     biggest = max((abs(a) for a in alphas), default=0.0)
     return math.ceil(biggest**2 + 10.0 * biggest + 20.0)
 
@@ -39,10 +54,10 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     The returned vector has ``cutoff + 1`` entries and is not
     renormalized: its norm deficit measures the truncation error.
     """
-    _require_finite("alpha", alpha)
+    alpha_sq = _photon_number(alpha)
     cutoff = _integer("cutoff", cutoff, minimum=0)
     vec = np.empty(cutoff + 1, dtype=complex)
-    vec[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    vec[0] = math.exp(-0.5 * alpha_sq)
     for n in range(cutoff):
         vec[n + 1] = vec[n] * alpha / math.sqrt(n + 1)
     return vec

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,33 +24,51 @@ from .errors import NumericalError, ParameterError, _require_nonnegative, _requi
 
 @dataclass(frozen=True)
 class RoundTripParams:
-    """Microscopic cavity description.
+    """Microscopic realization of a cavity at a chosen finesse.
 
-    The fields are redundant on purpose: the constructor checks that the
-    mirror amplitudes, the loss rates and the medium strength describe
-    one consistent cavity, which catches unit mistakes early.
+    The round-trip time, the mirror amplitudes and the medium strength
+    are derived from ``cavity`` on construction.  The derived values are
+    checked again, as numerical guards: past a finesse of about 3e7 the
+    mirror amplitudes round so close to 1 that they no longer reproduce
+    the finesse, and a ``wavenumber * medium_length`` outside float64
+    leaves no finite medium strength (README, "Round-trip model").
     """
 
+    cavity: CavityParams
     finesse: float
-    optical_depth: float
-    rho_in: float
-    tau_in: float
-    rho_hr: float
-    round_trip_time: float
-    wavenumber: float
-    medium_length: float
-    chi0: float
-    # Medium response parameters, needed to evaluate the susceptibility
-    # away from resonance and on the blockaded branch.
-    gamma: float
-    omega_c: float
-    gamma_rg: float
+    wavenumber: float = 2.0 * math.pi
+    medium_length: float = 1.0
+    round_trip_time: float = field(init=False)
+    rho_in: float = field(init=False)
+    tau_in: float = field(init=False)
+    rho_hr: float = field(init=False)
+    optical_depth: float = field(init=False)
+    chi0: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("finesse", "round_trip_time", "wavenumber", "medium_length",
-                     "gamma", "gamma_rg"):
+        for name in ("finesse", "wavenumber", "medium_length"):
             _require_positive(name, getattr(self, name))
-        for name in ("optical_depth", "omega_c", "chi0"):
+        # Each factor can be > 0 while the product underflows to 0.
+        cavity = self.cavity
+        k_l = self.wavenumber * self.medium_length
+        kappa_f = cavity.kappa * self.finesse
+        _require_positive("wavenumber * medium_length", k_l)
+        _require_positive("kappa * finesse", kappa_f)
+        t_rt = math.pi / kappa_f
+        rho_in = math.exp(-cavity.kappa_in * t_rt)
+        depth = 2.0 * math.pi * cavity.cooperativity / self.finesse
+        derived = {
+            "round_trip_time": t_rt,
+            "rho_in": rho_in,
+            "tau_in": math.sqrt(1.0 - rho_in**2),
+            "rho_hr": math.exp(-cavity.kappa_hr * t_rt),
+            "optical_depth": depth,
+            "chi0": depth / k_l,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        _require_positive("round_trip_time", self.round_trip_time)
+        for name in ("optical_depth", "chi0"):
             _require_nonnegative(name, getattr(self, name))
         for name in ("rho_in", "rho_hr"):
             value = getattr(self, name)
@@ -58,15 +76,16 @@ class RoundTripParams:
                 raise ParameterError(f"{name} must be in (0, 1], got {value!r}")
         # The consistency checks are written as ``not ... <=`` so that a
         # NaN residual (an infinite wavenumber, say) fails them too.
-        if not abs(self.rho_in**2 + self.tau_in**2 - 1.0) <= 1e-9:
-            raise ParameterError("input mirror must satisfy rho^2 + tau^2 = 1")
         depth = self.wavenumber * self.medium_length * self.chi0
         if not abs(depth - self.optical_depth) <= 1e-9 * max(1.0, self.optical_depth):
             raise ParameterError(
                 "optical_depth inconsistent with wavenumber * length * chi0"
             )
-        if self.rho_in * self.rho_hr >= 1.0:
+        loop = self.rho_in * self.rho_hr
+        if loop >= 1.0:
             raise ParameterError("lossless mirrors leave the finesse undefined")
+        if loop == 0.0:
+            raise ParameterError("rho_in * rho_hr underflows to 0")
         expected = math.pi / (self.kappa * self.round_trip_time)
         if not abs(expected - self.finesse) <= 1e-9 * self.finesse:
             raise ParameterError(
@@ -96,33 +115,15 @@ class RoundTripParams:
         medium_length: float = 1.0,
     ) -> "RoundTripParams":
         """Realize the given macroscopic cavity at a chosen finesse."""
-        _require_positive("finesse", finesse)
-        t_rt = math.pi / (cavity.kappa * finesse)
-        rho_in = math.exp(-cavity.kappa_in * t_rt)
-        rho_hr = math.exp(-cavity.kappa_hr * t_rt)
-        depth = 2.0 * math.pi * cavity.cooperativity / finesse
-        return cls(
-            finesse=finesse,
-            optical_depth=depth,
-            rho_in=rho_in,
-            tau_in=math.sqrt(1.0 - rho_in**2),
-            rho_hr=rho_hr,
-            round_trip_time=t_rt,
-            wavenumber=wavenumber,
-            medium_length=medium_length,
-            chi0=depth / (wavenumber * medium_length),
-            gamma=cavity.gamma,
-            omega_c=cavity.omega_c,
-            gamma_rg=cavity.gamma_rg,
-        )
+        return cls(cavity, finesse, wavenumber, medium_length)
 
 
 def susceptibility(
     rt: RoundTripParams, det: DetuningSet, branch: QubitBranch
 ) -> complex:
     """Linear susceptibility of the intracavity medium."""
-    den = _response_denominator(rt.gamma, rt.omega_c, rt.gamma_rg, det, branch)
-    return 1j * rt.chi0 * rt.gamma / den
+    den = _response_denominator(rt.cavity, det, branch)
+    return 1j * rt.chi0 * rt.cavity.gamma / den
 
 
 def medium_transmission(
@@ -192,7 +193,8 @@ def convergence_study(cavity: CavityParams, finesse_grid) -> ConvergenceStudy:
         raise ParameterError("finesse_grid must have at least two values")
     det = DetuningSet.resonant()
     errors = np.empty_like(grid)
-    for i, finesse in enumerate(grid):
+    # Python floats: a numpy scalar would warn where a float overflows.
+    for i, finesse in enumerate(grid.tolist()):
         rt = RoundTripParams.from_cavity(cavity, finesse)
         worst = 0.0
         for branch in QubitBranch:

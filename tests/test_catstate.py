@@ -247,6 +247,20 @@ class TestOptimalOperatingPoint:
             with pytest.raises(ParameterError):
                 max_photon_number(headline_params(), ratio)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: loss_budget(p),
+            lambda p: optimal_lambda(p),
+            lambda p: max_photon_number(p, math.exp(-1.0)),
+            lambda p: sweep_loss_vs_coupling(p.eta_esc, p.cooperativity, [2.0]),
+        ],
+        ids=["loss_budget", "optimal_lambda", "max_photon_number", "sweep"],
+    )
+    def test_zero_cooperativity_refused_alike(self, call):
+        with pytest.raises(ParameterError, match="^loss budget needs cooperativity > 0$"):
+            call(CavityParams(0.9825, 0.0))
+
 
 class TestSweep:
     def test_columns_and_minimum_location(self):

@@ -167,6 +167,11 @@ class TestReflectionCoefficient:
         with pytest.raises(ParameterError, match=name):
             DetuningSet(**{name: value})
 
+    @pytest.mark.parametrize("name", ["delta_c", "delta_s"])
+    def test_far_detuned_only_for_two_photon_detunings(self, name):
+        with pytest.raises(ParameterError, match=f"{name} must be finite, got FAR_DETUNED"):
+            DetuningSet(**{name: FAR_DETUNED})
+
     @given(eta=ETA, coop=COOP, lam=LAM, dc=DETUNING, ds=DETUNING, d2=DETUNING)
     def test_reflection_is_passive(self, eta, coop, lam, dc, ds, d2):
         p = CavityParams.from_coupling_strength(eta, coop, lam)

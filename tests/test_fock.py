@@ -268,3 +268,19 @@ def test_default_cutoff_rejects_non_finite_amplitudes(alphas):
 def test_coherent_state_rejects_non_finite_amplitude(alpha):
     with pytest.raises(ParameterError, match="alpha"):
         coherent_state(alpha, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: default_cutoff(1e200),
+        lambda: coherent_state(1e200, 3),
+        lambda: beam_splitter_pair(1e160, 0.3),
+        lambda: coherent_state(complex(1e308, 1e308), 3),
+    ],
+    ids=["default_cutoff", "coherent_state", "beam_splitter_pair", "complex"],
+)
+def test_amplitude_with_overflowing_photon_number_refused(call):
+    # Finite, but |alpha|^2 leaves float64.
+    with pytest.raises(ParameterError, match="alpha is too large"):
+        call()

@@ -65,3 +65,21 @@ def test_in_process_workload_runs_and_checks(monkeypatch, name):
         assert workload.check(inputs, refs, result, first) == []
         if first is None:
             first = result
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["amplitudes", "figure2", "headline", "xcheck"])
+def test_cli_output_matches_workload_reference(monkeypatch, capsys, command, fmt):
+    # The cli-cold workload's output check, run in-process: what
+    # ``rydcat.cli.main`` prints must parse to the blocks the workload
+    # computes through the API.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    from rydcat import cli
+
+    argv = [command, *workloads.CLI_ARGS[command], "--seed", "0", "--format", fmt]
+    assert cli.main(argv) == 0
+    want = workloads._expected(command, 0, config_call=False)
+    if fmt == "csv":
+        want.pop("fit", None)
+    assert workloads._parse(capsys.readouterr().out, fmt) == want
