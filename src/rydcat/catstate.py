@@ -16,8 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cavity import CavityParams, QubitBranch, lambda_factor, output_amplitudes
 from .errors import ParameterError, _require_finite
 
@@ -172,12 +170,17 @@ def generate_cat(
 
 # Closed forms for the loss budget, in terms of the escape efficiency e,
 # the cooperativity c, and the transparent-branch coupling strength lam.
-# They take floats or arrays of lam alike.
+# They take floats or arrays of lam alike; only arrays import numpy, so
+# a scalar budget loads none.
 
 def _sq(x):
     # libm pow(x, 2), as Python's float ** 2 rounds, also for arrays,
     # whose ** 2 is x * x and differs in the last bit for ~0.1 % of x.
-    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x**2
+    if isinstance(x, (int, float)):
+        return x**2
+    import numpy as np
+
+    return np.float_power(x, 2.0)
 
 
 def _eta(e: float, c: float) -> float:
@@ -214,7 +217,9 @@ def _budget(e: float, c: float, lam, b_mode: float = 0.0) -> dict:
     l_ell = l_a + l_m + l_mode
     survival = 1.0 - l_cav + l_ell
     # Removable 0/0 at lam = 1 with no mode mismatch; use the limit.
-    if isinstance(lam, np.ndarray):
+    if not isinstance(lam, (int, float)):
+        import numpy as np
+
         l_gen = np.where(survival == 0.0, _l_gen_closed(e, c, lam), l_ell / survival)
     elif survival == 0.0:
         l_gen = _l_gen_closed(e, c, lam)
@@ -292,6 +297,8 @@ def sweep_loss_vs_coupling(
     three loss coefficients, and the scattered-light amplitudes of both
     branches per unit input.
     """
+    import numpy as np
+
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ParameterError("lambda_grid must be a nonempty 1-D array")

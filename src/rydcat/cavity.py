@@ -24,6 +24,7 @@ from enum import Enum
 from .errors import (
     NumericalError,
     ParameterError,
+    _photon_number,
     _require_finite,
     _require_nonnegative,
     _require_positive,
@@ -169,7 +170,8 @@ class OutputAmplitudes:
     """The three coherent amplitudes leaving the system, plus the input.
 
     Construction enforces energy conservation: the three output channels
-    are the only places the input light can go.
+    are the only places the input light can go.  An input whose
+    |alpha_in|^2 overflows float64 is refused by name.
     """
 
     r: complex
@@ -178,7 +180,7 @@ class OutputAmplitudes:
     alpha_in: complex
 
     def __post_init__(self):
-        scale = max(abs(self.alpha_in) ** 2, 1e-300)
+        scale = max(_photon_number("alpha_in", self.alpha_in), 1e-300)
         if not abs(self.energy_residual) <= 1e-12 * scale:
             raise ParameterError(
                 "output amplitudes violate energy conservation: "

@@ -17,22 +17,20 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .catstate import loss_budget, max_photon_number, optimal_lambda, sweep_loss_vs_coupling
-from .cavity import CavityParams, DetuningSet, QubitBranch, output_amplitudes
 from .errors import NumericalError, ParameterError
-from .montecarlo import MonteCarloConfig, power_law_study, run_monte_carlo
-from .overlap import Polarization, pair_overlap_projected
-from .roundtrip import convergence_study
-from .steady import solve_steady_state, spontaneous_amplitude
 
+# Each command imports the public names it calls from the package when
+# it runs, so a process loads only the layers of its command (and numpy
+# only for a grid or a layer that needs it), and a name rebound on the
+# package, as perfbench's tracer rebinds them, is the one called.
+
+# Jones vectors of the --polarization choices.
 _POLARIZATIONS = {
-    "circular": Polarization.circular,
-    "linear_x": lambda: Polarization.linear((1.0, 0.0, 0.0)),
-    "linear_y": lambda: Polarization.linear((0.0, 1.0, 0.0)),
-    "linear_z": lambda: Polarization.linear((0.0, 0.0, 1.0)),
+    "circular": (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0), 0.0),
+    "linear_x": (1.0, 0.0, 0.0),
+    "linear_y": (0.0, 1.0, 0.0),
+    "linear_z": (0.0, 0.0, 1.0),
 }
 _WORKERS_HELP = (
     "has no effect: checked (>= 1), but runs are evaluated in one thread "
@@ -68,13 +66,15 @@ def _seed_value(text: str) -> int:
 
 def _finite(values):
     # A grid or list with a NaN or infinite value is a malformed option.
-    if not np.all(np.isfinite(values)):
+    if not all(map(math.isfinite, values)):
         raise ValueError("values must be finite")
     return values
 
 
 def _geom_grid(text: str) -> np.ndarray:
     """Parse 'start:stop:num' into a geometric grid of finite values."""
+    import numpy as np
+
     start, stop, num = text.split(":")
     with np.errstate(all="ignore"):  # a grid that is not finite fails below
         return _finite(np.geomspace(float(start), float(stop), int(num)))
@@ -82,6 +82,8 @@ def _geom_grid(text: str) -> np.ndarray:
 
 def _linear_grid(text: str) -> np.ndarray:
     """Parse 'start:stop:num' into a linear grid of finite values."""
+    import numpy as np
+
     start, stop, num = text.split(":")
     with np.errstate(all="ignore"):  # a grid that is not finite fails below
         return _finite(np.linspace(float(start), float(stop), int(num)))
@@ -106,24 +108,23 @@ def _float_list(text: str) -> list[float]:
     return _finite([float(part) for part in text.split(",")])
 
 
+def _plain(value):
+    # A numpy scalar or array as the Python value or list it holds.
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    value = _plain(value)
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return "%.17g" % value
     return str(value)
 
 
 def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
+    value = _plain(value)
+    if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -182,19 +183,13 @@ def _emit(
         _write(args.fit_out, json.dumps(payload, indent=2) + "\n")
 
 
-def _branches(choice: str) -> list[QubitBranch]:
-    if choice == "up":
-        return [QubitBranch.UP]
-    if choice == "dn":
-        return [QubitBranch.DOWN]
-    return [QubitBranch.UP, QubitBranch.DOWN]
-
-
 def cmd_amplitudes(args) -> None:
+    from . import CavityParams, QubitBranch, output_amplitudes
+
     params = CavityParams.from_coupling_strength(
         args.eta_esc, args.cooperativity, args.lambda_dn
     )
-    branches = _branches(args.branch)
+    branches = [b for b in QubitBranch if args.branch in ("both", b.value)]
     amps = [output_amplitudes(params, branch, args.alpha_in) for branch in branches]
     columns = {"branch": [branch.value for branch in branches]}
     for name in ("r", "a", "m"):
@@ -206,6 +201,8 @@ def cmd_amplitudes(args) -> None:
 
 
 def cmd_figure2(args) -> None:
+    from . import sweep_loss_vs_coupling
+
     _emit(
         args,
         sweep_loss_vs_coupling(args.eta_esc, args.cooperativity, args.lambda_grid),
@@ -213,6 +210,10 @@ def cmd_figure2(args) -> None:
 
 
 def cmd_figure3(args) -> None:
+    import numpy as np
+
+    from . import pair_overlap_projected
+
     kx, projections = args.kx_grid, args.projections
     columns = {
         "kx": np.tile(kx, len(projections)),
@@ -224,10 +225,12 @@ def cmd_figure3(args) -> None:
 
 def _cloud_config(args, **fields) -> MonteCarloConfig:
     """Monte Carlo configuration from the cloud options, plus ``fields``."""
+    from . import MonteCarloConfig, Polarization
+
     return MonteCarloConfig(
         sigmas=args.sigmas,
         wavelength=args.wavelength,
-        polarization=_POLARIZATIONS[args.polarization](),
+        polarization=Polarization(_POLARIZATIONS[args.polarization]),
         seed=args.seed,
         isotropic=args.isotropic,
         workers=args.workers,
@@ -236,6 +239,8 @@ def _cloud_config(args, **fields) -> MonteCarloConfig:
 
 
 def cmd_figure4(args) -> None:
+    from . import power_law_study
+
     study = power_law_study(_cloud_config(args), args.n_grid, args.runs_budget)
     columns = {
         "n_atoms": study.n_atoms,
@@ -248,6 +253,8 @@ def cmd_figure4(args) -> None:
 
 
 def cmd_headline(args) -> None:
+    from . import CavityParams, loss_budget, max_photon_number, optimal_lambda
+
     cavity = CavityParams(args.eta_esc, args.cooperativity)
     if args.lambda_inf:
         eta = cavity.eta_esc * cavity.cooperativity / (cavity.cooperativity + 1.0)
@@ -280,6 +287,16 @@ def cmd_headline(args) -> None:
 
 
 def cmd_xcheck(args) -> None:
+    from . import (
+        CavityParams,
+        DetuningSet,
+        QubitBranch,
+        convergence_study,
+        output_amplitudes,
+        solve_steady_state,
+        spontaneous_amplitude,
+    )
+
     params = CavityParams.from_coupling_strength(
         args.eta_esc, args.cooperativity, args.lambda_dn
     )
@@ -304,6 +321,8 @@ def cmd_xcheck(args) -> None:
 
 
 def cmd_mc(args) -> None:
+    from . import run_monte_carlo
+
     config = _cloud_config(args, n_atoms=args.n_atoms, n_runs=args.n_runs)
     result = run_monte_carlo(config)
     results = {

@@ -32,6 +32,20 @@ def _require_finite(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
+def _photon_number(name: str, alpha: complex) -> float:
+    """Mean photon number |alpha|^2 of a coherent amplitude.
+
+    An amplitude whose |alpha|^2 leaves float64 (|alpha| past about
+    1.3e154) is refused by name rather than with an ``OverflowError``.
+    """
+    try:
+        return abs(alpha) ** 2
+    except OverflowError:
+        raise ParameterError(
+            f"{name} is too large: |{name}|^2 overflows float64, got {alpha!r}"
+        ) from None
+
+
 def _integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int, at least ``minimum`` when one is given.
 

@@ -18,22 +18,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catstate import CatState
-from .errors import ParameterError, _integer, _require_finite
+from .errors import ParameterError, _integer, _photon_number, _require_finite
 
 
-def _photon_number(alpha: complex) -> float:
-    """Mean photon number |alpha|^2 of a finite coherent amplitude.
+# Largest number-state grid a routine here builds: 2**22 complex cells,
+# 64 MiB.  A two-mode grid reaches it at |alpha| of about 40; a qubit
+# density matrix holds four such grids.
+_MAX_GRID_CELLS = 2**22
 
-    An amplitude whose |alpha|^2 leaves float64 (|alpha| past about
-    1.3e154) is refused by name rather than with an ``OverflowError``.
+
+def _grid_dim(cutoff: int, alphas, axes: int = 2) -> int:
+    """``cutoff + 1``, checked before a grid of ``axes`` such axes is built.
+
+    A grid past ``_MAX_GRID_CELLS`` is refused, naming the amplitudes
+    and the grid size; a side too long to print shows its leading digits.
     """
-    try:
-        _require_finite("alpha", alpha)
-        return abs(alpha) ** 2
-    except OverflowError:
+    dim = _integer("cutoff", cutoff, minimum=0) + 1
+    if dim**axes > _MAX_GRID_CELLS:
+        side = str(dim)
+        if len(side) >= 10:
+            side = f"{side[0]}.{side[1:3]}e+{len(side) - 1}"
         raise ParameterError(
-            f"alpha is too large: |alpha|^2 overflows float64, got {alpha!r}"
-        ) from None
+            f"amplitude {' and '.join(map(repr, alphas))} asks for a "
+            f"{' x '.join([side] * axes)} Fock grid, past the "
+            f"{_MAX_GRID_CELLS} cells allowed"
+        )
+    return dim
 
 
 def default_cutoff(*alphas: complex) -> int:
@@ -43,7 +53,8 @@ def default_cutoff(*alphas: complex) -> int:
     tolerance used in the tests (norm deficit well under 1e-10).
     """
     for alpha in alphas:
-        _photon_number(alpha)
+        _photon_number("alpha", alpha)
+        _require_finite("alpha", alpha)
     biggest = max((abs(a) for a in alphas), default=0.0)
     return math.ceil(biggest**2 + 10.0 * biggest + 20.0)
 
@@ -54,7 +65,8 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     The returned vector has ``cutoff + 1`` entries and is not
     renormalized: its norm deficit measures the truncation error.
     """
-    alpha_sq = _photon_number(alpha)
+    alpha_sq = _photon_number("alpha", alpha)
+    _require_finite("alpha", alpha)
     cutoff = _integer("cutoff", cutoff, minimum=0)
     vec = np.empty(cutoff + 1, dtype=complex)
     vec[0] = math.exp(-0.5 * alpha_sq)
@@ -124,7 +136,8 @@ def beam_splitter_pair(
     """
     if cutoff is None:
         cutoff = default_cutoff(alpha)
-    state = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    dim = _grid_dim(cutoff, (alpha,))
+    state = np.zeros((dim, dim), dtype=complex)
     state[:, 0] = coherent_state(alpha, cutoff)
     return split_two_mode(state, transmission)
 
@@ -139,9 +152,9 @@ def cat_density_matrix(cat: CatState, cutoff: int | None = None) -> np.ndarray:
     """
     if cutoff is None:
         cutoff = default_cutoff(cat.alpha_up, cat.alpha_dn)
+    dim = _grid_dim(cutoff, (cat.alpha_up, cat.alpha_dn))
     up = coherent_state(cat.alpha_up, cutoff)
     dn = coherent_state(cat.alpha_dn, cutoff)
-    dim = cutoff + 1
     rho = np.zeros((2 * dim, 2 * dim), dtype=complex)
     f = cat.f
     coh = cat.visibility * math.sqrt(f * (1.0 - f)) * np.exp(-1j * cat.theta)
@@ -183,7 +196,8 @@ def fock_overlap_lemma_check(
         raise ParameterError("mode overlap magnitude cannot exceed 1")
     if cutoff is None:
         cutoff = default_cutoff(alpha_up, alpha_dn)
-    dim = cutoff + 1
+    # down_states below holds one two-mode grid per number state.
+    dim = _grid_dim(cutoff, (alpha_up, alpha_dn), axes=3)
     c_perp = math.sqrt(max(0.0, 1.0 - abs(c_up_dn) ** 2))
     # Number states of the down-branch mode, expanded on the two-mode
     # grid (up-mode count, complement count).  The n-photon state

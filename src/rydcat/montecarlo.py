@@ -227,13 +227,18 @@ def power_law_study(
     The run count per point is ``runs_budget / N**2``, which roughly
     equalizes the relative error across the grid since the per-run
     spread of the mismatch shrinks with N.  Streams are keyed by
-    (seed, N, run), so different grid points never share draws.
+    (seed, N, run), so different grid points never share draws; each N
+    may appear once.
     """
     if n_grid is None:
         n_grid = range(3, 31)
     n_values = [_integer("each atom number", n, minimum=2) for n in n_grid]
     if len(n_values) < 2:
         raise ParameterError("n_grid must contain at least two atom numbers")
+    for i, n in enumerate(n_values):
+        # A repeated N would rerun the same streams and count them twice.
+        if n in n_values[:i]:
+            raise ParameterError(f"n_grid repeats the atom number {n}")
     if any(n >= 2**32 for n in n_values):
         raise ParameterError("atom numbers must fit in 32 bits for stream keying")
     if not 0.0 < runs_budget < np.inf:

@@ -123,6 +123,17 @@ class TestResonantAmplitudes:
         with pytest.raises(ParameterError):
             OutputAmplitudes(r=1.0, a=1.0, m=0.0, alpha_in=1.0)
 
+    @pytest.mark.parametrize("alpha_in", [1e160, 1e200, complex(1e308, 1e308)])
+    def test_overflowing_photon_number_names_the_input(self, alpha_in):
+        # Finite, but |alpha_in|^2 leaves float64: refused by name, not
+        # with an OverflowError from the energy check.
+        params = CavityParams.from_coupling_strength(0.9825, 21.0, 21.0)
+        for branch in QubitBranch:
+            with pytest.raises(ParameterError, match="alpha_in is too large"):
+                output_amplitudes(params, branch, alpha_in)
+        with pytest.raises(ParameterError, match="alpha_in is too large"):
+            OutputAmplitudes(r=0.0, a=0.0, m=0.0, alpha_in=alpha_in)
+
     # An infinite cooperativity is rejected by CavityParams, naming it,
     # before it can make the amplitudes NaN.
     @pytest.mark.parametrize("coop,alpha_in,message", [

@@ -200,6 +200,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert "invalid parameter" in captured.err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["amplitudes", "--alpha-in", "1e160"], "alpha_in is too large"),
+        (["amplitudes", "--alpha-in", "1e200"], "alpha_in is too large"),
+        (["amplitudes", "--alpha-in", "1e308+1e308j"], "alpha_in is too large"),
+        (["figure4", "--n-grid", "3,3"], "repeats the atom number 3"),
+        (["figure4", "--n-grid", "3,4,3"], "repeats the atom number 3"),
+    ])
+    def test_out_of_range_value_is_one_line(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["figure3", "--kx-grid", "0:nan:3"],
         ["figure3", "--kx-grid", "0:inf:3"],

@@ -1,10 +1,12 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rydcat import fock
 from rydcat import (
     CatState,
     ParameterError,
@@ -284,3 +286,48 @@ def test_amplitude_with_overflowing_photon_number_refused(call):
     # Finite, but |alpha|^2 leaves float64.
     with pytest.raises(ParameterError, match="alpha is too large"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: beam_splitter_pair(1e100, 0.3),
+         "amplitude 1e+100 asks for a 9.99e+199 x 9.99e+199 Fock grid"),
+        (lambda: beam_splitter_pair(200.0, 0.3),
+         "amplitude 200.0 asks for a 42021 x 42021 Fock grid"),
+        (lambda: beam_splitter_pair(0.5, 0.3, cutoff=10**6),
+         "amplitude 0.5 asks for a 1000001 x 1000001 Fock grid"),
+        (lambda: beam_splitter_pair(complex(1e308, 1e308), 0.3, cutoff=10**400),
+         "amplitude (1e+308+1e+308j) asks for a 1.00e+400 x 1.00e+400 Fock grid"),
+        (lambda: cat_density_matrix(CatState(0.5, 0.0, 1.0, 50.0, -50.0)),
+         "amplitude 50.0 and -50.0 asks for a 3021 x 3021 Fock grid"),
+        (lambda: fock_overlap_lemma_check(0.5, 9.0, 1.0),
+         "amplitude 9.0 and 1.0 asks for a 192 x 192 x 192 Fock grid"),
+    ],
+    ids=["huge", "200", "explicit_cutoff", "past_float64", "density_matrix", "lemma"],
+)
+def test_grid_past_the_limit_refused_before_allocation(call, message):
+    # The number-state grid is sized first; one that would pass the
+    # fixed limit is refused, naming the amplitudes and the grid, before
+    # anything of that size is allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError) as exc:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value).startswith(message)
+    assert peak < 2**20
+
+
+def test_grid_limit_is_inclusive():
+    # 2048 x 2048 is the largest two-mode grid, 161 the largest lemma axis.
+    assert fock._grid_dim(2047, (0.5,)) == 2048
+    assert fock._grid_dim(160, (0.5,), axes=3) == 161
+    with pytest.raises(ParameterError, match="2049 x 2049"):
+        fock._grid_dim(2048, (0.5,))
+    with pytest.raises(ParameterError, match="162 x 162 x 162"):
+        fock._grid_dim(161, (0.5,), axes=3)
+    with pytest.raises(ParameterError, match="cutoff must be >= 0"):
+        beam_splitter_pair(0.5, 0.3, cutoff=-3)

@@ -196,6 +196,13 @@ class TestPowerLawStudy:
             with pytest.raises(ParameterError):
                 power_law_study(cfg, n_grid=grid, runs_budget=50.0)
 
+    @pytest.mark.parametrize("grid", [[3, 3], [3, 4, 3]])
+    def test_rejects_repeated_atom_number(self, grid):
+        # Both points would be the same (seed, N, run) streams, and the
+        # fit would count those runs twice as if independent.
+        with pytest.raises(ParameterError, match="repeats the atom number 3"):
+            power_law_study(MonteCarloConfig(seed=0), n_grid=grid, runs_budget=50.0)
+
 
 # The per-run path as it was before runs were stacked and before the
 # branch mismatch was reformulated: a fresh Philox generator, one cloud
