@@ -181,18 +181,46 @@ class OutputAmplitudes:
 
     def __post_init__(self):
         scale = max(_photon_number("alpha_in", self.alpha_in), 1e-300)
-        if not abs(self.energy_residual) <= 1e-12 * scale:
+        residual, shift = self._residual()
+        scale = math.ldexp(scale, -2 * shift)
+        if not abs(residual) <= 1e-12 * scale:
             raise ParameterError(
-                "output amplitudes violate energy conservation: "
-                f"residual {self.energy_residual!r} for |alpha_in|^2 {scale!r}"
+                "output amplitudes violate energy conservation: relative "
+                f"residual {residual / scale!r} for alpha_in {self.alpha_in!r}"
             )
 
     @property
     def energy_residual(self) -> float:
-        return (
-            abs(self.r) ** 2 + abs(self.a) ** 2 + abs(self.m) ** 2
-            - abs(self.alpha_in) ** 2
+        residual, shift = self._residual()
+        return math.ldexp(residual, 2 * shift)
+
+    def _residual(self) -> tuple[float, int]:
+        """|r|^2 + |a|^2 + |m|^2 - |alpha_in|^2 over 4**shift, and shift.
+
+        ``shift`` is 0 unless a square or the sum overflows, as it can
+        near |alpha_in| = sqrt(float64 max).  Then every amplitude is
+        first divided by 2**shift, which brings the largest component
+        below 1 and is exact.
+        """
+        try:
+            residual = (
+                abs(self.r) ** 2 + abs(self.a) ** 2 + abs(self.m) ** 2
+                - abs(self.alpha_in) ** 2
+            )
+        except OverflowError:
+            residual = math.inf
+        if abs(residual) != math.inf:
+            return residual, 0
+        amplitudes = (self.r, self.a, self.m, self.alpha_in)
+        top = max(abs(part) for z in amplitudes for part in (z.real, z.imag))
+        if top == math.inf:
+            return residual, 0
+        shift = math.frexp(top)[1]
+        r, a, m, alpha = (
+            abs(complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)))
+            for z in amplitudes
         )
+        return r**2 + a**2 + m**2 - alpha**2, shift
 
 
 def lambda_factor(params: CavityParams, branch: QubitBranch) -> float:

@@ -7,7 +7,7 @@ format, rows keep a fixed order, and all randomness flows from the
 --seed flag.
 
 Exit codes: 0 success, 1 usage error, 2 invalid parameter value,
-3 numerical failure.
+3 numerical failure or not enough memory.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ _POLARIZATIONS = {
     "linear_z": (0.0, 0.0, 1.0),
 }
 _WORKERS_HELP = (
-    "has no effect: checked (>= 1), but runs are evaluated in one thread "
-    "whatever its value or RYDCAT_WORKERS"
+    "processes that share the runs (default: RYDCAT_WORKERS, else 1); on "
+    "Linux a campaign of more than about 0.1 s is split over forked "
+    "children, each holding its own pair store; results are identical "
+    "for any count"
 )
 
 
@@ -452,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"rydcat: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"rydcat: out of memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -5,12 +5,17 @@ overlap and pair statistics, and aggregates means with standard errors.
 Each run owns a counter-based generator keyed by (master seed, run
 index), and runs are evaluated together in pair tiles whose arithmetic
 is per run, so results are bit-reproducible for a given seed whatever
-the campaign a run belongs to.
+the campaign a run belongs to, and whatever the number of worker
+processes that share its groups of runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
+import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,9 +27,40 @@ from .overlap import (
     collective_pairs,
     group_clouds,
     incident_wavevector,
+    store_cells,
 )
 
 _WORKERS_ENV = "RYDCAT_WORKERS"
+# The estimated work of a group of runs, in atom pairs: its pairs, plus
+# what each run and each group cost besides them (a run's draw and its
+# share of the reductions, about 5 us; a group's drive phase, tile walk
+# and branch reduction, about 350 us), fitted to timed groups of N = 3
+# to 260 at about 50 ns a pair.
+_RUN_COST = 100
+_GROUP_COST = 7000
+# Least estimated work worth splitting over processes: about 0.1 s (0.1
+# to 0.18 s at 50 to 85 ns a pair).  A fork, exit and reap take 1-4 ms,
+# but on a 2-vCPU KVM host a process that forks also ran its later
+# serial campaigns slower: the 55 ms power-law scan of the benchmark by
+# 35 % (5 paired runs) when it was split too, so it stays serial.
+_FORK_MIN_WORK = 2**21
+# Least size of the one store of pair rectangles that each process of a
+# forked campaign keeps for its span (2 MiB; from 4 MiB numpy advises
+# huge pages, which would make it resident 2 MiB at a time).  glibc gives
+# freed memory at the top of the heap back to the kernel past a threshold
+# that it raises to twice the largest block it has freed from mmap.
+# Once this store is freed, the per-group stores and tiles of the
+# parent's later campaigns reuse heap instead of faulting it back in page
+# by page.  Measured at N = 260, in a process that alternates serial and
+# forked campaigns: without it, a serial campaign took about 5,500 minor
+# faults and 14 % more time than in a process that never forked.
+_FORK_STORE_CELLS = 2**18
+# A forked child shares the parent's memory and its cached tile indices,
+# and imports nothing: a fork, exit and reap take 1-4 ms, where a fresh
+# interpreter would spend about 0.2 s importing numpy.  Windows has no
+# fork, and macOS's system libraries are not safe to use in a forked
+# child, so elsewhere every group runs in the calling process.
+_CAN_FORK = sys.platform.startswith("linux")
 
 
 @dataclass(frozen=True)
@@ -32,11 +68,19 @@ class MonteCarloConfig:
     """Cloud geometry and sampling plan.
 
     ``isotropic`` replaces the three widths by their geometric mean,
-    keeping the scaled cloud size fixed.  ``workers`` does nothing: it
-    is validated (an integer >= 1, or None to defer to the RYDCAT_WORKERS
-    environment variable, read by ``resolve_workers``), but runs are
-    evaluated in one thread whatever its value, since on two cores a
-    thread pool over the stacked runs gained nothing.
+    keeping the scaled cloud size fixed.
+
+    ``workers`` is the number of processes that share a campaign's
+    groups of runs: an integer >= 1, or None to read the RYDCAT_WORKERS
+    environment variable (``resolve_workers``; 1 when unset).  On Linux
+    a campaign of more than about 0.1 s of work is cut into that many
+    contiguous spans of groups; the calling process evaluates the first
+    and a forked child each other.  Elsewhere, and for smaller
+    campaigns, every group runs in the calling process.  A run's bits
+    depend on its stream key alone, so results are identical for any
+    worker count.  Each process holds its own store of pair rectangles
+    (about 4 N^2 bytes per cloud of its largest group), so memory grows
+    with the worker count.
     """
 
     n_atoms: int = 260
@@ -91,17 +135,175 @@ def _stream_state(seed: int, stream: int) -> dict:
     }
 
 
-def _sample_group(config: MonteCarloConfig, k_in: np.ndarray, streams: range):
+def _sample_group(
+    config: MonteCarloConfig,
+    k_in: np.ndarray,
+    streams: range,
+    store: np.ndarray | None = None,
+):
     """Per-run b, c, s12 and s12_sq of the runs keyed by ``streams``."""
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    positions = np.empty((len(streams), config.n_atoms, 3))
-    for cloud, stream in zip(positions, streams):
-        bitgen.state = _stream_state(config.seed, stream)
-        gen.standard_normal(out=cloud)
-    positions *= config.effective_sigmas
-    c, b, s12, s12_sq, _ = collective_pairs(positions, k_in, config.polarization.jones)
+    try:
+        bitgen = np.random.Philox(0)
+        gen = np.random.Generator(bitgen)
+        positions = np.empty((len(streams), config.n_atoms, 3))
+        for cloud, stream in zip(positions, streams):
+            bitgen.state = _stream_state(config.seed, stream)
+            gen.standard_normal(out=cloud)
+        positions *= config.effective_sigmas
+        c, b, s12, s12_sq, _ = collective_pairs(
+            positions, k_in, config.polarization.jones, store
+        )
+    except MemoryError as exc:
+        raise _out_of_memory(config, streams, exc) from None
     return b, c, s12, s12_sq
+
+
+def _out_of_memory(config: MonteCarloConfig, streams: range, exc) -> MemoryError:
+    return MemoryError(
+        f"runs of {config.n_atoms} atoms ({len(streams)} per group): {exc}"
+    )
+
+
+def _groups(config: MonteCarloConfig, first_stream: int) -> list[tuple]:
+    """``_sample_group`` arguments of ``config.n_runs`` runs, in run order.
+
+    Run i draws its cloud from the Philox stream keyed by (seed,
+    first_stream + i), and the runs are cut into groups of
+    ``overlap.group_clouds`` clouds.
+    """
+    per_group = group_clouds(config.n_atoms)
+    streams = range(first_stream, first_stream + config.n_runs)
+    k_in = incident_wavevector(config.wavelength, config.direction)
+    return [
+        (config, k_in, streams[i:i + per_group])
+        for i in range(0, len(streams), per_group)
+    ]
+
+
+def _spans(work: list[int], workers: int) -> list[range]:
+    """Contiguous spans of the groups, at most ``workers``, of even work.
+
+    Each group goes to the span its midpoint of the cumulative work
+    falls in, so no group is split and every span is non-empty.
+    """
+    total = sum(work)
+    owners: list[list[int]] = [[] for _ in range(workers)]
+    done = 0
+    for i, w in enumerate(work):
+        owners[min(workers - 1, (2 * done + w) * workers // (2 * total))].append(i)
+        done += w
+    return [range(own[0], own[-1] + 1) for own in owners if own]
+
+
+def _evaluate(groups: list[tuple], span: range, store=None) -> list[tuple]:
+    return [_sample_group(*groups[i], store) for i in span]
+
+
+def _span_store(groups: list[tuple], span: range) -> np.ndarray:
+    """One store of pair rectangles for every group of a forked span."""
+    config, _, streams = max(
+        (groups[i] for i in span),
+        key=lambda group: store_cells(group[0].n_atoms, len(group[2])),
+    )
+    try:
+        return np.empty(
+            max(store_cells(config.n_atoms, len(streams)), _FORK_STORE_CELLS)
+        )
+    except MemoryError as exc:
+        raise _out_of_memory(config, streams, exc) from None
+
+
+def _run_groups(groups: list[tuple], workers: int) -> list[tuple]:
+    """``_sample_group`` of each group, in order, over up to ``workers`` processes."""
+    work = [
+        len(streams) * (config.n_atoms * (config.n_atoms - 1) // 2 + _RUN_COST)
+        + _GROUP_COST
+        for config, _, streams in groups
+    ]
+    spans = [range(len(groups))]
+    if workers > 1 and _CAN_FORK and sum(work) >= _FORK_MIN_WORK:
+        spans = _spans(work, min(workers, len(groups)))
+    if len(spans) == 1:
+        return _evaluate(groups, spans[0])
+    return _forked(groups, spans)
+
+
+def _forked(groups: list[tuple], spans: list[range]) -> list[tuple]:
+    """Evaluate the first span here and each other span in a forked child.
+
+    A child pickles its span's results, or the exception of its first
+    failing group, to a pipe and leaves with ``os._exit``.  The parent
+    raises the exception of the earliest failing group, as a serial run
+    would, and kills and reaps every child whatever happens.
+    """
+    import signal  # only here, so that a serial campaign loads nothing new
+
+    children: list[tuple[int, int]] = []
+    try:
+        for span in spans[1:]:
+            children.append(_fork_span(groups, span))
+        results = _evaluate(groups, spans[0], _span_store(groups, spans[0]))
+        for pid, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:
+                raise RuntimeError(
+                    f"Monte Carlo worker {pid} sent no readable result"
+                ) from None
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        # A child that has finished is a zombie, which the signal leaves
+        # as it is; one still running is stopped.  Either way it is reaped.
+        for pid, fd in children:
+            os.close(fd)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _fork_span(groups: list[tuple], span: range) -> tuple[int, int]:
+    """Fork a child that evaluates ``span``; returns its pid and its pipe."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a process with threads may
+            # deadlock the child.  The other threads here are OpenBLAS's
+            # pool, which OpenBLAS itself resets in the child.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        try:
+            data = pickle.dumps(
+                (True, _evaluate(groups, span, _span_store(groups, span))), -1
+            )
+        except BaseException as exc:
+            # Sent to the parent, which raises it.
+            try:
+                data = pickle.dumps((False, exc), -1)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(
+                    f"{type(exc).__name__} in a Monte Carlo worker: {exc}"
+                )), -1)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _sample_runs(config: MonteCarloConfig, first_stream: int = 0):
@@ -109,16 +311,11 @@ def _sample_runs(config: MonteCarloConfig, first_stream: int = 0):
 
     Run i draws its cloud from the Philox stream keyed by (seed,
     first_stream + i).  The runs are reduced in groups of
-    ``overlap.group_clouds`` clouds.  A run's numbers depend on its key
-    alone, never on the clouds it shares a tile or a group with.
+    ``overlap.group_clouds`` clouds, shared over ``config``'s workers.
+    A run's numbers depend on its key alone, never on the clouds it
+    shares a tile or a group with, nor on the process that runs it.
     """
-    per_group = group_clouds(config.n_atoms)
-    streams = range(first_stream, first_stream + config.n_runs)
-    k_in = incident_wavevector(config.wavelength, config.direction)
-    parts = [
-        _sample_group(config, k_in, streams[i:i + per_group])
-        for i in range(0, len(streams), per_group)
-    ]
+    parts = _run_groups(_groups(config, first_stream), config.resolve_workers())
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -243,16 +440,22 @@ def power_law_study(
         raise ParameterError("atom numbers must fit in 32 bits for stream keying")
     if not 0.0 < runs_budget < np.inf:
         raise ParameterError(f"runs_budget must be finite and > 0, got {runs_budget!r}")
+    runs = np.array([max(2, round(runs_budget / n**2)) for n in n_values])
+    # Every group of every atom number in one list, so that a scan
+    # forks its workers once.
+    points = [
+        _groups(replace(config, n_atoms=n, n_runs=int(n_runs)), n << 32)
+        for n, n_runs in zip(n_values, runs)
+    ]
+    parts = iter(_run_groups(
+        [group for point in points for group in point], config.resolve_workers()
+    ))
     b_mean = np.empty(len(n_values))
     b_sem = np.empty(len(n_values))
-    runs = np.empty(len(n_values), dtype=int)
-    for i, n in enumerate(n_values):
-        n_runs = max(2, round(runs_budget / n**2))
-        point = replace(config, n_atoms=n, n_runs=n_runs)
-        b = _sample_runs(point, first_stream=n << 32)[0]
+    for i, point in enumerate(points):
+        b = np.concatenate([next(parts)[0] for _ in point])
         b_mean[i] = b.mean()
         b_sem[i] = _sem(b)
-        runs[i] = n_runs
     n_arr = np.array(n_values, dtype=float)
     design = n_arr**-3
     weight = 1.0 / b_sem**2

@@ -560,7 +560,17 @@ def _branch_overlap(row, quadratic):
     return c, b, per_atom
 
 
-def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray):
+def store_cells(n_atoms: int, clouds: int) -> int:
+    """Cells of the rectangle store ``collective_pairs`` needs for a stack."""
+    return clouds * sum((b - a) * (n_atoms - a) for a, b in _row_blocks(n_atoms))
+
+
+def collective_pairs(
+    positions: np.ndarray,
+    k_in: np.ndarray,
+    jones: np.ndarray,
+    store: np.ndarray | None = None,
+):
     """Branch overlaps and pair moments of stacked clouds, from their pairs.
 
     ``positions`` has shape (R, N, 3).  Returns ``c_up_dn``, ``b_up_dn``,
@@ -589,10 +599,17 @@ def collective_pairs(positions: np.ndarray, k_in: np.ndarray, jones: np.ndarray)
     depend on its row blocks, fixed by N, never on the other clouds of
     the stack.  A cloud too wide for float64 fills its rectangles with
     inf and NaN quietly; ``_branch_overlap``'s guards report it.
+
+    ``store``, a float64 array of at least ``store_cells(N, R)`` cells,
+    is zeroed and used for the rectangles instead of a new allocation.
     """
     r, n, _ = positions.shape
     # One zeroed store holds every rectangle of the stack.
-    store = np.zeros(r * sum((b - a) * (n - a) for a, b in _row_blocks(n)))
+    if store is None:
+        store = np.zeros(store_cells(n, r))
+    else:
+        store = store[:store_cells(n, r)]
+        store.fill(0.0)
     upper = np.zeros((r, n, 2))
     lower = np.zeros((r, n, 2))
     total_sq = np.zeros(r)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -133,6 +134,23 @@ class TestResonantAmplitudes:
                 output_amplitudes(params, branch, alpha_in)
         with pytest.raises(ParameterError, match="alpha_in is too large"):
             OutputAmplitudes(r=0.0, a=0.0, m=0.0, alpha_in=alpha_in)
+
+    @pytest.mark.parametrize("coupling, branch", [
+        ((1.0, 4.0, 2.0), QubitBranch.DOWN),
+        ((1.0, 2.0, math.sqrt(2.0)), QubitBranch.UP),
+    ])
+    @pytest.mark.parametrize("sign", [1.0, -1.0j])
+    def test_largest_accepted_input_conserves_energy(self, coupling, branch, sign):
+        # |alpha_in|^2 is just inside float64: |a| may round an ulp above
+        # |alpha_in|, and |r|^2 + |a|^2 + |m|^2 may pass the float64 limit,
+        # yet the balance is exact to rounding.
+        alpha_in = sign * math.sqrt(sys.float_info.max)
+        params = CavityParams.from_coupling_strength(*coupling)
+        big = output_amplitudes(params, branch, alpha_in)
+        unit = output_amplitudes(params, branch, sign)
+        for got, want in ((big.r, unit.r), (big.a, unit.a), (big.m, unit.m)):
+            assert got == want * math.sqrt(sys.float_info.max)
+        assert abs(big.energy_residual) <= 4e-16 * sys.float_info.max
 
     # An infinite cooperativity is rejected by CavityParams, naming it,
     # before it can make the amplitudes NaN.

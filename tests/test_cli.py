@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -253,6 +254,36 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_headline", explode)
         assert cli.main(["headline"]) == 3
+
+    @pytest.mark.parametrize("where", ["parent", "child"])
+    def test_memory_error_is_three(self, capsys, monkeypatch, where):
+        # N = 50,000 would ask for 9.31 GiB of pair rectangles; the
+        # reduction is replaced, so nothing that large is allocated.  With
+        # two workers the second run's group fails in a forked child.
+        from rydcat import montecarlo
+
+        parent = os.getpid()
+
+        def no_memory(positions, *args):
+            if where == "parent" or os.getpid() != parent:
+                raise MemoryError("Unable to allocate 9.31 GiB")
+            r = positions.shape[0]
+            return (np.ones(r, complex), np.zeros(r), np.zeros(r, complex),
+                    np.zeros(r), None)
+
+        monkeypatch.setattr(montecarlo, "collective_pairs", no_memory)
+        # A forked span's shared store would be sized for the real call.
+        monkeypatch.setattr(montecarlo, "store_cells", lambda n_atoms, clouds: 1)
+        workers = "1" if where == "parent" else "2"
+        code = cli.main(["mc", "--n-atoms", "50000", "--n-runs", "2",
+                         "--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "rydcat: out of memory: runs of 50000 atoms (1 per group): "
+            "Unable to allocate 9.31 GiB"
+        ]
 
 
 COMMANDS = ("amplitudes", "figure2", "figure3", "figure4", "headline",

@@ -1,3 +1,5 @@
+import os
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,6 +11,7 @@ import rydcat.montecarlo as montecarlo
 from rydcat import (
     AtomCloud,
     MonteCarloConfig,
+    NumericalError,
     ParameterError,
     Polarization,
     power_law_study,
@@ -346,8 +349,167 @@ def test_runs_reduced_in_groups(monkeypatch, n, runs, groups):
         return reduce(positions, *args)
 
     monkeypatch.setattr(montecarlo, "collective_pairs", counted)
-    montecarlo._sample_runs(MonteCarloConfig(n_atoms=n, n_runs=runs, seed=5))
+    # One process, so that RYDCAT_WORKERS cannot move groups into a
+    # child, where the counter would not see them.
+    montecarlo._sample_runs(MonteCarloConfig(n_atoms=n, n_runs=runs, seed=5,
+                                             workers=1))
     assert sizes == groups
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def campaign_fields(result):
+    return [field.tobytes() for field in
+            (result.b, result.c_up_dn, result.s12, result.s12_sq)]
+
+
+def study_fields(study):
+    return [np.asarray(getattr(study, name)).tobytes() for name in
+            ("n_atoms", "b_mean", "b_sem", "runs", "c3", "c3_err", "free_slope")]
+
+
+@pytest.fixture
+def fork_small(monkeypatch):
+    """Let campaigns of any size fork, so that small ones test the path."""
+    monkeypatch.setattr(montecarlo, "_FORK_MIN_WORK", 0)
+
+
+def test_forked_campaign_bit_identical(forked):
+    # Sixty N = 260 runs, one group each, past the fork threshold: 2 and
+    # 3 workers fork 1 and 2 children, and every field keeps its bytes.
+    config = MonteCarloConfig(n_atoms=260, n_runs=60, seed=5)
+    serial = campaign_fields(run_monte_carlo(replace(config, workers=1)))
+    assert forked == []
+    for workers in (2, 3):
+        forked.clear()
+        got = campaign_fields(run_monte_carlo(replace(config, workers=workers)))
+        assert len(forked) == workers - 1
+        assert got == serial
+
+
+def test_forked_scan_bit_identical(forked, fork_small):
+    # Every group of every N in one list: a scan forks once per child.
+    config = MonteCarloConfig(seed=5)
+    serial = study_fields(power_law_study(replace(config, workers=1),
+                                          range(3, 13), 2e4))
+    assert forked == []
+    for workers in (2, 3):
+        forked.clear()
+        got = study_fields(power_law_study(replace(config, workers=workers),
+                                           range(3, 13), 2e4))
+        assert len(forked) == workers - 1
+        assert got == serial
+
+
+def test_small_campaigns_and_other_platforms_stay_serial(forked, monkeypatch):
+    # The command line's small calls and a 55 ms scan stay serial; a
+    # platform other than Linux never forks.
+    run_monte_carlo(MonteCarloConfig(n_atoms=20, n_runs=4, workers=4))
+    power_law_study(MonteCarloConfig(workers=4), [3, 4, 5, 6], 200.0)
+    power_law_study(MonteCarloConfig(workers=4), range(3, 31), 2e4)
+    assert forked == []
+    config = MonteCarloConfig(n_atoms=260, n_runs=60, seed=5)
+    monkeypatch.setattr(montecarlo, "_CAN_FORK", False)
+    got = campaign_fields(run_monte_carlo(replace(config, workers=3)))
+    assert forked == []
+    monkeypatch.undo()
+    assert got == campaign_fields(run_monte_carlo(replace(config, workers=1)))
+
+
+def test_shared_store_gives_the_same_bits():
+    # A store reused across groups, here one left full of NaN, is zeroed
+    # where the call needs it.
+    config = MonteCarloConfig(n_atoms=30, n_runs=8, seed=5)
+    (group,) = montecarlo._groups(config, 0)
+    alone = montecarlo._sample_group(*group)
+    store = np.full(montecarlo.store_cells(30, 8) + 7, np.nan)
+    shared = montecarlo._sample_group(*group, store)
+    assert [f.tobytes() for f in shared] == [f.tobytes() for f in alone]
+
+
+@pytest.mark.parametrize("work, workers, sizes", [
+    ([5] * 9, 3, [3, 3, 3]),
+    ([5] * 4, 3, [1, 2, 1]),
+    ([5] * 2, 2, [1, 1]),
+    ([1, 1, 1, 1, 4], 2, [4, 1]),
+    ([10, 1, 1], 3, [1, 2]),  # no empty span
+])
+def test_spans_are_contiguous_and_balanced(work, workers, sizes):
+    spans = montecarlo._spans(work, workers)
+    assert [len(span) for span in spans] == sizes
+    assert [i for span in spans for i in span] == list(range(len(work)))
+
+
+def failing_groups(monkeypatch, streams, make_error):
+    """Make ``_sample_group`` raise ``make_error(stream)`` on ``streams``."""
+    sample = montecarlo._sample_group
+
+    def failing(config, k_in, group, *store):
+        for stream in group:
+            if stream in streams:
+                raise make_error(stream)
+        return sample(config, k_in, group, *store)
+
+    monkeypatch.setattr(montecarlo, "_sample_group", failing)
+
+
+def test_child_failure_raises_the_serial_exception(forked, fork_small,
+                                                   monkeypatch):
+    # Streams 5 and 8 fail, in the second and third of three spans: the
+    # parent raises stream 5's error, as the serial loop does.
+    failing_groups(monkeypatch, {5, 8},
+                   lambda stream: NumericalError(f"stream {stream} failed"))
+    config = MonteCarloConfig(n_atoms=260, n_runs=9, seed=5)
+    with pytest.raises(NumericalError) as serial:
+        run_monte_carlo(replace(config, workers=1))
+    assert forked == []
+    with pytest.raises(NumericalError) as split:
+        run_monte_carlo(replace(config, workers=3))
+    assert len(forked) == 2
+    assert str(split.value) == str(serial.value) == "stream 5 failed"
+    for pid in forked:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_parent_failure_kills_and_reaps_children(forked, fork_small,
+                                                 monkeypatch):
+    # The parent's own span fails at once while the children would take a
+    # minute: they are killed, not waited for, and reaped.
+    parent = os.getpid()
+    sample = montecarlo._sample_group
+
+    def slow_children(config, k_in, group, *store):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        elif 0 in group:
+            raise NumericalError("parent span failed")
+        return sample(config, k_in, group, *store)
+
+    monkeypatch.setattr(montecarlo, "_sample_group", slow_children)
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match="parent span failed"):
+        run_monte_carlo(MonteCarloConfig(n_atoms=260, n_runs=9, seed=5,
+                                         workers=3))
+    assert time.perf_counter() - start < 30.0
+    assert len(forked) == 2
+    for pid in forked:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def old_mismatch_longdouble(s):
