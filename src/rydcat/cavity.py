@@ -184,9 +184,12 @@ class OutputAmplitudes:
         residual, shift = self._residual()
         scale = math.ldexp(scale, -2 * shift)
         if not abs(residual) <= 1e-12 * scale:
+            # The scaled |alpha_in|^2 underflows to 0 only when the
+            # relative residual is past the float64 range.
+            relative = residual / scale if scale else math.copysign(math.inf, residual)
             raise ParameterError(
                 "output amplitudes violate energy conservation: relative "
-                f"residual {residual / scale!r} for alpha_in {self.alpha_in!r}"
+                f"residual {relative!r} for alpha_in {self.alpha_in!r}"
             )
 
     @property

@@ -15,6 +15,7 @@ import contextlib
 import os
 import pickle
 import sys
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -31,30 +32,18 @@ from .overlap import (
 )
 
 _WORKERS_ENV = "RYDCAT_WORKERS"
-# The estimated work of a group of runs, in atom pairs: its pairs, plus
-# what each run and each group cost besides them (a run's draw and its
-# share of the reductions, about 5 us; a group's drive phase, tile walk
-# and branch reduction, about 350 us), fitted to timed groups of N = 3
-# to 260 at about 50 ns a pair.
+# The estimated work of a run, in atom pairs: its pairs, plus its draw
+# and its share of the reductions, which take about as long as 100 pairs
+# (about 5 us at 50 ns a pair; fitted to timed groups of N = 3 to 260).
 _RUN_COST = 100
-_GROUP_COST = 7000
-# Least estimated work worth splitting over processes: about 0.1 s (0.1
-# to 0.18 s at 50 to 85 ns a pair).  A fork, exit and reap take 1-4 ms,
-# but on a 2-vCPU KVM host a process that forks also ran its later
-# serial campaigns slower: the 55 ms power-law scan of the benchmark by
-# 35 % (5 paired runs) when it was split too, so it stays serial.
+# Least estimated work that is split over processes, about 0.1 s of
+# runs.  A guard set by the benchmark rather than by the crossover: in
+# a fresh process two workers beat one from about 2**19 (N = 260, 16
+# runs: 0.84x) and broke even near 2**20 (a scan over N = 3..30, 0.95x),
+# on a 2-vCPU KVM host.  But a process that alternated forked and
+# serial campaigns there ran its serial ones slower, for a cause not
+# found, so the benchmark's scan of about 2**20 stays serial.
 _FORK_MIN_WORK = 2**21
-# Least size of the one store of pair rectangles that each process of a
-# forked campaign keeps for its span (2 MiB; from 4 MiB numpy advises
-# huge pages, which would make it resident 2 MiB at a time).  glibc gives
-# freed memory at the top of the heap back to the kernel past a threshold
-# that it raises to twice the largest block it has freed from mmap.
-# Once this store is freed, the per-group stores and tiles of the
-# parent's later campaigns reuse heap instead of faulting it back in page
-# by page.  Measured at N = 260, in a process that alternates serial and
-# forked campaigns: without it, a serial campaign took about 5,500 minor
-# faults and 14 % more time than in a process that never forked.
-_FORK_STORE_CELLS = 2**18
 # A forked child shares the parent's memory and its cached tile indices,
 # and imports nothing: a fork, exit and reap take 1-4 ms, where a fresh
 # interpreter would spend about 0.2 s importing numpy.  Windows has no
@@ -75,8 +64,9 @@ class MonteCarloConfig:
     environment variable (``resolve_workers``; 1 when unset).  On Linux
     a campaign of more than about 0.1 s of work is cut into that many
     contiguous spans of groups; the calling process evaluates the first
-    and a forked child each other.  Elsewhere, and for smaller
-    campaigns, every group runs in the calling process.  A run's bits
+    and a forked child each other.  Elsewhere, for smaller campaigns,
+    and while another Python thread runs, every group runs in the
+    calling process.  A run's bits
     depend on its stream key alone, so results are identical for any
     worker count.  Each process holds its own store of pair rectangles
     (about 4 N^2 bytes per cloud of its largest group), so memory grows
@@ -195,34 +185,34 @@ def _spans(work: list[int], workers: int) -> list[range]:
     return [range(own[0], own[-1] + 1) for own in owners if own]
 
 
-def _evaluate(groups: list[tuple], span: range, store=None) -> list[tuple]:
-    return [_sample_group(*groups[i], store) for i in span]
+def _evaluate(groups: list[tuple], span: range) -> list[tuple]:
+    """``_sample_group`` of each group of ``span``, in one reused store.
 
-
-def _span_store(groups: list[tuple], span: range) -> np.ndarray:
-    """One store of pair rectangles for every group of a forked span."""
+    The store of pair rectangles is sized to the span's largest group.
+    """
     config, _, streams = max(
         (groups[i] for i in span),
         key=lambda group: store_cells(group[0].n_atoms, len(group[2])),
     )
     try:
-        return np.empty(
-            max(store_cells(config.n_atoms, len(streams)), _FORK_STORE_CELLS)
-        )
+        store = np.empty(store_cells(config.n_atoms, len(streams)))
     except MemoryError as exc:
         raise _out_of_memory(config, streams, exc) from None
+    return [_sample_group(*groups[i], store) for i in span]
 
 
 def _run_groups(groups: list[tuple], workers: int) -> list[tuple]:
     """``_sample_group`` of each group, in order, over up to ``workers`` processes."""
     work = [
         len(streams) * (config.n_atoms * (config.n_atoms - 1) // 2 + _RUN_COST)
-        + _GROUP_COST
         for config, _, streams in groups
     ]
     spans = [range(len(groups))]
     if workers > 1 and _CAN_FORK and sum(work) >= _FORK_MIN_WORK:
-        spans = _spans(work, min(workers, len(groups)))
+        # A child forked beside another Python thread may inherit a lock
+        # that thread holds, and wait on it for ever.
+        if threading.active_count() == 1:
+            spans = _spans(work, min(workers, len(groups)))
     if len(spans) == 1:
         return _evaluate(groups, spans[0])
     return _forked(groups, spans)
@@ -242,7 +232,7 @@ def _forked(groups: list[tuple], spans: list[range]) -> list[tuple]:
     try:
         for span in spans[1:]:
             children.append(_fork_span(groups, span))
-        results = _evaluate(groups, spans[0], _span_store(groups, spans[0]))
+        results = _evaluate(groups, spans[0])
         for pid, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -273,8 +263,9 @@ def _fork_span(groups: list[tuple], span: range) -> tuple[int, int]:
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns that forking a process with threads may
-            # deadlock the child.  The other threads here are OpenBLAS's
-            # pool, which OpenBLAS itself resets in the child.
+            # deadlock the child.  ``_run_groups`` forks only when Python
+            # runs no other thread; the threads it cannot see are native
+            # pools such as OpenBLAS's, which OpenBLAS resets in the child.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:
@@ -288,9 +279,7 @@ def _fork_span(groups: list[tuple], span: range) -> tuple[int, int]:
     try:
         os.close(read)
         try:
-            data = pickle.dumps(
-                (True, _evaluate(groups, span, _span_store(groups, span))), -1
-            )
+            data = pickle.dumps((True, _evaluate(groups, span)), -1)
         except BaseException as exc:
             # Sent to the parent, which raises it.
             try:

@@ -124,6 +124,14 @@ class TestResonantAmplitudes:
         with pytest.raises(ParameterError):
             OutputAmplitudes(r=1.0, a=1.0, m=0.0, alpha_in=1.0)
 
+    @pytest.mark.parametrize("r", [1e200, -1e200j, complex(1e300, 1e300)])
+    @pytest.mark.parametrize("alpha_in", [1.0, 1e-300, 0.0])
+    def test_inconsistent_huge_output_is_refused(self, r, alpha_in):
+        # |r|^2 overflows, and alpha_in scaled with it underflows: the
+        # relative residual is past float64, reported as inf.
+        with pytest.raises(ParameterError, match="relative residual inf"):
+            OutputAmplitudes(r=r, a=0.0, m=0.0, alpha_in=alpha_in)
+
     @pytest.mark.parametrize("alpha_in", [1e160, 1e200, complex(1e308, 1e308)])
     def test_overflowing_photon_number_names_the_input(self, alpha_in):
         # Finite, but |alpha_in|^2 leaves float64: refused by name, not

@@ -1,4 +1,5 @@
 import os
+import threading
 import time
 import tracemalloc
 import warnings
@@ -389,9 +390,9 @@ def fork_small(monkeypatch):
 
 
 def test_forked_campaign_bit_identical(forked):
-    # Sixty N = 260 runs, one group each, past the fork threshold: 2 and
+    # Seventy N = 260 runs, one group each, past the fork threshold: 2 and
     # 3 workers fork 1 and 2 children, and every field keeps its bytes.
-    config = MonteCarloConfig(n_atoms=260, n_runs=60, seed=5)
+    config = MonteCarloConfig(n_atoms=260, n_runs=70, seed=5)
     serial = campaign_fields(run_monte_carlo(replace(config, workers=1)))
     assert forked == []
     for workers in (2, 3):
@@ -422,11 +423,27 @@ def test_small_campaigns_and_other_platforms_stay_serial(forked, monkeypatch):
     power_law_study(MonteCarloConfig(workers=4), [3, 4, 5, 6], 200.0)
     power_law_study(MonteCarloConfig(workers=4), range(3, 31), 2e4)
     assert forked == []
-    config = MonteCarloConfig(n_atoms=260, n_runs=60, seed=5)
+    config = MonteCarloConfig(n_atoms=260, n_runs=70, seed=5)
     monkeypatch.setattr(montecarlo, "_CAN_FORK", False)
     got = campaign_fields(run_monte_carlo(replace(config, workers=3)))
     assert forked == []
     monkeypatch.undo()
+    assert got == campaign_fields(run_monte_carlo(replace(config, workers=1)))
+
+
+def test_no_fork_beside_another_thread(forked, fork_small):
+    # A child forked beside a running Python thread could inherit a lock
+    # that thread holds, so the campaign stays in the calling process.
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        config = MonteCarloConfig(n_atoms=260, n_runs=4, seed=5, workers=2)
+        got = campaign_fields(run_monte_carlo(config))
+    finally:
+        stop.set()
+        thread.join()
+    assert forked == []
     assert got == campaign_fields(run_monte_carlo(replace(config, workers=1)))
 
 
