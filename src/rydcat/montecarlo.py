@@ -66,11 +66,10 @@ class MonteCarloConfig:
     contiguous spans of groups; the calling process evaluates the first
     and a forked child each other.  Elsewhere, for smaller campaigns,
     and while another Python thread runs, every group runs in the
-    calling process.  A run's bits
-    depend on its stream key alone, so results are identical for any
-    worker count.  Each process holds its own store of pair rectangles
-    (about 4 N^2 bytes per cloud of its largest group), so memory grows
-    with the worker count.
+    calling process.  A run's bits depend on its stream key alone, so
+    results are identical for any worker count.  Each process holds its
+    own store of pair rectangles (about 4 N^2 bytes per cloud of its
+    largest group), so memory grows with the worker count.
     """
 
     n_atoms: int = 260
