@@ -2,7 +2,8 @@
 
 Everything here is brute force on number-state grids: coherent vectors
 by recurrence, beam splitters by exponentiating the two-mode mixing
-generator, density matrices of qubit-light states by outer products.
+generator on each occupied photon-number sector, density matrices of
+qubit-light states by outer products.
 These routines exist to cross-check the closed-form overlap and
 visibility algebra elsewhere in the package, and to expose the same
 physics in a basis where no Gaussian shortcuts are available.
@@ -82,7 +83,8 @@ def split_two_mode(state: np.ndarray, transmission: float) -> np.ndarray:
     mode and k in the reflected one; ``transmission`` is the intensity
     transmission.  The mixing conserves total photon number, so the
     exponential is taken sector by sector on the (n+1)-dimensional
-    blocks instead of on the full grid.
+    blocks instead of on the full grid; a sector whose amplitudes are
+    all zero is copied instead.
     """
     if not 0.0 <= transmission <= 1.0:
         raise ParameterError(
@@ -98,8 +100,11 @@ def split_two_mode(state: np.ndarray, transmission: float) -> np.ndarray:
         # Basis of the sector: |total - k, k> for admissible k.
         k = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
         cells = (total - k) * dim + k
-        if k.size == 1:
-            out[cells] = flat[cells]
+        amps = flat[cells]
+        # A unitary maps zero to zero: an empty sector (every sector
+        # past the cutoff, for a vacuum second mode) is copied as is.
+        if k.size == 1 or not amps.any():
+            out[cells] = amps
             continue
         # a b-dagger moves a photon into the reflected mode with
         # amplitude step, so angle * gen is real and antisymmetric with
@@ -109,7 +114,7 @@ def split_two_mode(state: np.ndarray, transmission: float) -> np.ndarray:
         steps = np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
         phases, vecs = np.linalg.eigh(np.diag(steps, 1) + np.diag(steps, -1))
         turn = _QUARTER_TURNS[np.arange(k.size) % 4]
-        amps = flat[cells] * turn.conj()
+        amps = amps * turn.conj()
         mixed = np.exp(-1j * angle * phases) * _real_matmul(vecs.T, amps)
         out[cells] = _real_matmul(vecs, mixed) * turn
     return out.reshape(dim, dim)

@@ -7,6 +7,14 @@ relations.  This is the second independent route to the reflection and
 loss amplitudes: the closed forms elsewhere should agree with this
 solve to machine precision, and the semiclassical round-trip model
 should converge to both.
+
+The bulk equations are tridiagonal (field, polarization, spin
+coherence, each coupled to its neighbours), and are solved in Python
+complex arithmetic by LAPACK's xGTSV method, Gaussian elimination with
+partial pivoting.  It eliminates top-down, from the field row, while
+``cavity``'s closed form is the bottom-up continued fraction (spin
+coherence into polarization into field), so the two share no
+intermediate quantity.
 """
 
 from __future__ import annotations
@@ -34,9 +42,13 @@ class SteadyState:
 
 def _steady_system(
     params: CavityParams, det: DetuningSet, branch: QubitBranch, e_in: complex
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bulk equations ``matrix @ (e_cav, p_medium, s_spinwave) = rhs``.
+) -> tuple[tuple, tuple, tuple, tuple]:
+    """Bands and right-hand side of the bulk equations.
 
+    Returns ``(lower, diag, upper, rhs)`` of the tridiagonal system in
+    ``(e_cav, p_medium, s_spinwave)``, as Python complex numbers: row i
+    reads ``lower[i - 1] x[i - 1] + diag[i] x[i] + upper[i] x[i + 1]
+    = rhs[i]``.  The couplings are symmetric, so ``lower`` is ``upper``.
     On the blockaded branch the spin coherence is frozen out (its
     two-photon detuning is effectively infinite): its coupling to the
     polarization vanishes and its row pins it to zero.
@@ -46,20 +58,61 @@ def _steady_system(
     delta_2 = det.delta_2(branch)
     if delta_2 is FAR_DETUNED:
         half_omega = 0.0
-        spin_row = [0.0, 0.0, 1.0]
+        spin = 1.0 + 0.0j
     else:
         half_omega = 0.5 * params.omega_c
-        spin_row = [0.0, -1j * half_omega, 0.5 * params.gamma_rg - 1j * delta_2]
-    matrix = np.array(
-        [
-            [params.kappa - 1j * det.delta_c, -1j * g, 0.0],
-            [-1j * g, params.gamma - 1j * det.delta_s, -1j * half_omega],
-            spin_row,
-        ],
-        dtype=complex,
+        spin = complex(0.5 * params.gamma_rg, -delta_2)
+    coupling = (complex(0.0, -g), complex(0.0, -half_omega))
+    diag = (
+        complex(params.kappa, -det.delta_c),
+        complex(params.gamma, -det.delta_s),
+        spin,
     )
-    rhs = np.array([math.sqrt(2.0 * params.kappa_in) * e_in, 0.0, 0.0], dtype=complex)
-    return matrix, rhs
+    rhs = (math.sqrt(2.0 * params.kappa_in) * complex(e_in), 0.0j, 0.0j)
+    return coupling, diag, coupling, rhs
+
+
+def _cabs1(z: complex) -> float:
+    return abs(z.real) + abs(z.imag)
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs) -> tuple[complex, complex, complex]:
+    """Solve the 3 x 3 system of ``_steady_system`` as LAPACK's xGTSV does.
+
+    Gaussian elimination with partial pivoting, top row (the field)
+    first: each step keeps the row whose pivot is larger in
+    ``|re| + |im|``, and an interchange puts the next row's
+    super-diagonal entry into the fill-in ``f0`` two places right of the
+    first pivot.  Then back-substitution.
+    """
+    (l0, l1), (d0, d1, d2), (u0, u1), (b0, b1, b2) = lower, diag, upper, rhs
+    f0 = 0.0j
+    if _cabs1(d0) >= _cabs1(l0):
+        if d0 == 0:
+            raise NumericalError("steady-state system is singular: zero pivot in row 0")
+        m = l0 / d0
+        d1 -= m * u0
+        b1 -= m * b0
+    else:
+        m = d0 / l0
+        d0, d1, u0 = l0, u0 - m * d1, d1
+        f0, u1 = u1, -m * u1
+        b0, b1 = b1, b0 - m * b1
+    if _cabs1(d1) >= _cabs1(l1):
+        if d1 == 0:
+            raise NumericalError("steady-state system is singular: zero pivot in row 1")
+        m = l1 / d1
+        d2 -= m * u1
+        b2 -= m * b1
+    else:
+        m = d1 / l1
+        d1, d2, u1 = l1, u1 - m * d2, d2
+        b1, b2 = b2, b1 - m * b2
+    if d2 == 0:
+        raise NumericalError("steady-state system is singular: zero pivot in row 2")
+    x2 = b2 / d2
+    x1 = (b1 - u1 * x2) / d1
+    return (b0 - u0 * x1 - f0 * x2) / d0, x1, x2
 
 
 def solve_steady_state(
@@ -73,20 +126,17 @@ def solve_steady_state(
     On the blockaded branch the spin coherence is frozen out and the
     system reduces to field plus polarization.
     """
-    matrix, rhs = _steady_system(params, det, branch, e_in)
-    try:
-        e_cav, p_medium, s_spinwave = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"steady-state system is singular: {exc}") from exc
-    e_out = math.sqrt(2.0 * params.kappa_in) * e_cav - e_in
-    e_mirror = math.sqrt(2.0 * params.kappa_hr) * e_cav
+    e_cav, p_medium, s_spinwave = _solve_tridiagonal(
+        *_steady_system(params, det, branch, e_in)
+    )
+    e_in = complex(e_in)
     return SteadyState(
-        e_cav=complex(e_cav),
-        p_medium=complex(p_medium),
-        s_spinwave=complex(s_spinwave),
-        e_out=complex(e_out),
-        e_mirror=complex(e_mirror),
-        e_in=complex(e_in),
+        e_cav=e_cav,
+        p_medium=p_medium,
+        s_spinwave=s_spinwave,
+        e_out=math.sqrt(2.0 * params.kappa_in) * e_cav - e_in,
+        e_mirror=math.sqrt(2.0 * params.kappa_hr) * e_cav,
+        e_in=e_in,
     )
 
 
@@ -103,10 +153,17 @@ def steady_residuals(
     itself) and the input-output boundary relation.  All should vanish
     for a valid solution.
     """
-    matrix, rhs = _steady_system(params, det, branch, ss.e_in)
-    bulk = matrix @ np.array([ss.e_cav, ss.p_medium, ss.s_spinwave]) - rhs
+    (l0, l1), (d0, d1, d2), (u0, u1), (b0, b1, b2) = _steady_system(
+        params, det, branch, ss.e_in
+    )
+    x0, x1, x2 = ss.e_cav, ss.p_medium, ss.s_spinwave
     boundary = ss.e_out - (math.sqrt(2.0 * params.kappa_in) * ss.e_cav - ss.e_in)
-    return np.append(np.abs(bulk), abs(boundary))
+    return np.array([
+        abs(d0 * x0 + u0 * x1 - b0),
+        abs(l0 * x0 + d1 * x1 + u1 * x2 - b1),
+        abs(l1 * x1 + d2 * x2 - b2),
+        abs(boundary),
+    ])
 
 
 def spontaneous_amplitude(ss: SteadyState) -> float:

@@ -11,7 +11,9 @@ precision, so that it measures float64 rounding alone;
 ``split_two_mode_hermitian`` exponentiates each photon-number sector of
 the beam splitter through the complex Hermitian generator, and
 ``overlap_lemma_brute_force`` builds the lemma's down-branch number
-states pair by pair, as the package did before both were vectorized.
+states pair by pair, as the package did before both were vectorized;
+``steady_state_mpmath`` solves the steady-state bulk equations as a
+dense system at 40 digits.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
+from rydcat.cavity import FAR_DETUNED
 from rydcat.errors import ParameterError
 from rydcat.fock import beam_splitter_pair, coherent_state
 
@@ -368,3 +371,32 @@ def overlap_lemma_brute_force(
     up_grid = np.zeros_like(dn_grid)
     up_grid[:, 0] = coherent_state(alpha_up, cutoff)
     return complex(np.vdot(up_grid, dn_grid))
+
+
+def steady_state_mpmath(params, det, branch, e_in, digits: int = 40):
+    """``(e_cav, p_medium, s_spinwave)`` at ``digits`` digits, as mpmath complexes.
+
+    The float64 matrix entries and drive, formed as ``steady`` forms
+    them, are taken as exact, and the dense 3 x 3 system is solved by
+    mpmath's pivoted LU decomposition: the result differs from the
+    float64 solve by that solve's rounding alone.
+    """
+    from mpmath import lu_solve, matrix, mp, mpc
+
+    g = math.sqrt(params.cooperativity * params.kappa * params.gamma)
+    delta_2 = det.delta_2(branch)
+    if delta_2 is FAR_DETUNED:
+        half_omega, spin = 0.0, 1.0
+    else:
+        half_omega = 0.5 * params.omega_c
+        spin = complex(0.5 * params.gamma_rg, -delta_2)
+    rows = [
+        [complex(params.kappa, -det.delta_c), -1j * g, 0.0],
+        [-1j * g, complex(params.gamma, -det.delta_s), -1j * half_omega],
+        [0.0, -1j * half_omega, spin],
+    ]
+    drive = math.sqrt(2.0 * params.kappa_in) * complex(e_in)
+    with mp.workdps(digits):
+        a = matrix([[mpc(entry) for entry in row] for row in rows])
+        x = lu_solve(a, matrix([mpc(drive), mpc(0), mpc(0)]))
+        return [x[i] for i in range(3)]

@@ -433,6 +433,14 @@ class TestFigureOutputs:
         assert lines[0] == "finesse,semiclassical_error,steady_state_error"
         assert len(lines) == 4
 
+    def test_xcheck_reaches_finesse_1e8(self, capsys):
+        # The round-trip guard allows the model's own O(1/finesse) error.
+        code, out = run_cli(capsys, "xcheck", "--finesse-grid", "1e2:1e8:7")
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [
+            10.0**n for n in range(2, 9)]
+
 
 class TestOutputFile:
     def test_out_writes_file_instead_of_stdout(self, capsys, tmp_path):

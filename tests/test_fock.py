@@ -64,6 +64,28 @@ class TestCoherentState:
             coherent_state(1.0, 3.5)
 
 
+def split_every_sector(state, transmission):
+    # split_two_mode as it was before empty sectors were copied: every
+    # sector of two or more cells is exponentiated.
+    dim = state.shape[0]
+    angle = math.acos(math.sqrt(transmission))
+    flat = state.ravel()
+    out = np.empty(dim * dim, dtype=complex)
+    for total in range(2 * dim - 1):
+        k = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+        cells = (total - k) * dim + k
+        if k.size == 1:
+            out[cells] = flat[cells]
+            continue
+        steps = np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
+        phases, vecs = np.linalg.eigh(np.diag(steps, 1) + np.diag(steps, -1))
+        turn = fock._QUARTER_TURNS[np.arange(k.size) % 4]
+        amps = flat[cells] * turn.conj()
+        mixed = np.exp(-1j * angle * phases) * fock._real_matmul(vecs.T, amps)
+        out[cells] = fock._real_matmul(vecs, mixed) * turn
+    return out.reshape(dim, dim)
+
+
 class TestSplitTwoMode:
     def test_coherent_input_factorizes(self):
         # |alpha, 0> -> |sqrt(t) alpha> x |sqrt(1-t) alpha>, exactly the
@@ -123,6 +145,37 @@ class TestSplitTwoMode:
         got = split_two_mode(state, transmission)
         expect = split_two_mode_hermitian(state, transmission)
         assert np.max(np.abs(got - expect)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "alpha,transmission,cutoff",
+        [(3.0 + 0.5j, 0.3, None), (0.5, 0.3, None), (1.5 - 2j, 0.77, 40),
+         (3.0 + 0.5j, 0.0, 8), (2j, 1.0, None)],
+    )
+    def test_matches_every_sector_loop(self, alpha, transmission, cutoff):
+        # A vacuum second mode leaves every sector with total >= dim
+        # empty; those are copied, the others rotate as before.
+        out = beam_splitter_pair(alpha, transmission, cutoff)
+        dim = out.shape[0]
+        state = np.zeros((dim, dim), dtype=complex)
+        state[:, 0] = coherent_state(alpha, dim - 1)
+        expect = split_every_sector(state, transmission)
+        totals = np.add.outer(np.arange(dim), np.arange(dim))
+        for total in range(2 * dim - 1):
+            sector = totals == total
+            if state[sector].any():
+                assert out[sector].tobytes() == expect[sector].tobytes()
+            else:
+                assert out[sector].tobytes() == state[sector].tobytes()
+
+    def test_occupied_sector_past_cutoff_still_rotated(self):
+        # |3, 2> has total 5 >= dim = 4: a clipped sector, but not empty.
+        state = np.zeros((4, 4), dtype=complex)
+        state[3, 2] = 1.0
+        out = split_two_mode(state, 0.4)
+        expect = split_every_sector(state, 0.4)
+        assert abs(out[2, 3]) > 0.1
+        assert out[[3, 2], [2, 3]].tobytes() == expect[[3, 2], [2, 3]].tobytes()
+        assert np.array_equal(out, expect)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterError):

@@ -101,17 +101,21 @@ def _pin(rt) -> str:
 
 # Outcome of from_cavity at the headline cavity across the finesse
 # range: the sha256 of _pin where it is accepted, the error message
-# where it is refused.  From a finesse of about 3.3e7 the mirror
-# amplitudes round too close to 1 to reproduce the finesse, and from
-# about 5.6e16 they round to exactly 1.
+# where it is refused.  From a finesse of about 1.8e8 the mirror
+# amplitudes round too close to 1 to reproduce the finesse to the
+# model's own O(1/finesse) error, and from about 5.6e16 they round to
+# exactly 1.  Below about 4.2e-3 the mirror amplitudes underflow.
 FROM_CAVITY_PINS = {
     1e-3: "rho_in must be in (0, 1], got 0.0",
+    4.2e-3: "rho_in * rho_hr underflows to 0",
+    4.25e-3: "1ec11281dc1364249ebc776f673bf6412aab82f2e26a50db5e967f25e504d4ff",
     1e-2: "fcc544e031cf348812ff2a3ad03020da86a70e5eb24d036e0318fb19d2b5588e",
     1.0: "2c73a622742ea6394d05662c527fe5c46ef4b0385a2471aa6f86820dbd6842f7",
     1e2: "e6aa508584d854b66089a5b35f8a440e277f84e15a8572385d2ccddaf08146ee",
     1e6: "2d58405213c37f09d397c47b9fae67a59ab544d05c17a96206ce4108ad795c0e",
     3e7: "d266e30dc5a482e65399a19361771f967a214e8a97e491d68f45eee65ddb7995",
-    1e8: "finesse inconsistent with mirror losses and round-trip time",
+    1e8: "8866b3e0649ee7f60c946766b99439ac111b1109f859bf014c2c64e49b0d9a3e",
+    3e8: "finesse inconsistent with mirror losses and round-trip time",
     1e12: "finesse inconsistent with mirror losses and round-trip time",
     1e17: "lossless mirrors leave the finesse undefined",
     1e300: "lossless mirrors leave the finesse undefined",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,10 @@ from rydcat import (
     spontaneous_amplitude,
     steady_residuals,
 )
+from rydcat import steady
+from rydcat.steady import _solve_tridiagonal, _steady_system
+
+from oracles import steady_state_mpmath
 
 ETA = st.floats(min_value=0.5, max_value=1.0)
 COOP = st.floats(min_value=0.0, max_value=50.0)
@@ -146,9 +151,9 @@ def two_branch_reference(params, det, branch, e_in):
     return np.array([e_cav, p_medium, s_spinwave, e_out, e_mirror], dtype=complex)
 
 
-def test_solve_bit_identical_to_two_branch_reference():
-    rng = np.random.default_rng(11)
-    for _ in range(500):
+def random_systems(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         params = CavityParams.from_coupling_strength(
             eta_esc=rng.uniform(0.3, 1.0),
             cooperativity=rng.uniform(0.0, 60.0),
@@ -159,10 +164,85 @@ def test_solve_bit_identical_to_two_branch_reference():
         )
         dc, ds, d2 = rng.uniform(-20.0, 20.0, 3)
         det = DetuningSet(delta_c=dc, delta_s=ds, delta_2_dn=d2)
-        e_in = complex(rng.normal(), rng.normal())
+        yield params, det, complex(rng.normal(), rng.normal())
+
+
+def test_solve_within_16_ulp_of_two_branch_reference():
+    # LAPACK's dense solve, as the package used it before the
+    # tridiagonal elimination; the two round differently (at most 7.6
+    # ulp of the largest output apart on 6,000 systems).
+    for params, det, e_in in random_systems(11, 500):
         for branch in QubitBranch:
             ss = solve_steady_state(params, det, branch, e_in)
             got = np.array([ss.e_cav, ss.p_medium, ss.s_spinwave, ss.e_out,
                             ss.e_mirror], dtype=complex)
             expect = two_branch_reference(params, det, branch, e_in)
-            assert got.tobytes() == expect.tobytes()
+            bound = 16 * np.finfo(float).eps * np.max(np.abs(expect))
+            assert np.max(np.abs(got - expect)) <= bound
+
+
+def pivot_path(params, det, branch):
+    # Whether the elimination interchanges rows at its first and at its
+    # second step: xGTSV keeps the row whose pivot is larger in
+    # |re| + |im|.
+    def cabs1(z):
+        return abs(z.real) + abs(z.imag)
+
+    (l0, l1), (d0, d1, _), (u0, _), _ = _steady_system(params, det, branch, 1.0)
+    swap_first = cabs1(d0) < cabs1(l0)
+    pivot = u0 - d0 / l0 * d1 if swap_first else d1 - l0 / d0 * u0
+    return swap_first, cabs1(pivot) < cabs1(l1)
+
+
+def oracle_error(params, det, branch, e_in):
+    """Distance to the 40-digit solve, relative to its largest component."""
+    ss = solve_steady_state(params, det, branch, e_in)
+    exact = steady_state_mpmath(params, det, branch, e_in)
+    scale = max(abs(x) for x in exact)
+    got = (ss.e_cav, ss.p_medium, ss.s_spinwave)
+    return float(max(abs(mpmath.mpc(z) - x) for z, x in zip(got, exact)) / scale)
+
+
+def test_solve_matches_mpmath_oracle():
+    paths = {branch: set() for branch in QubitBranch}
+    for params, det, e_in in random_systems(2026, 1000):
+        for branch in QubitBranch:
+            assert oracle_error(params, det, branch, e_in) <= 4e-15
+            paths[branch].add(pivot_path(params, det, branch))
+    # The blockaded branch's spin row is decoupled, so its second step
+    # never interchanges.
+    assert paths[QubitBranch.DOWN] == {(False, False), (False, True),
+                                       (True, False), (True, True)}
+    assert paths[QubitBranch.UP] == {(False, False), (True, False)}
+
+
+@pytest.mark.parametrize(
+    "cooperativity,kappa,lambda_dn,path",
+    [
+        (0.5, 3.0, 1.5, (False, False)),
+        (21.0, 1.0, 3.0, (True, False)),
+        (0.5, 3.0, 21.0, (False, True)),
+        (21.0, 1.0, 21.0, (True, True)),  # the headline cavity
+    ],
+)
+def test_each_pivot_path_matches_oracle(cooperativity, kappa, lambda_dn, path):
+    params = CavityParams.from_coupling_strength(0.9825, cooperativity,
+                                                 lambda_dn, kappa=kappa)
+    det = DetuningSet(delta_c=0.3, delta_s=-0.2, delta_2_dn=0.1)
+    assert pivot_path(params, det, QubitBranch.DOWN) == path
+    assert oracle_error(params, det, QubitBranch.DOWN, 0.7 - 0.4j) <= 4e-15
+
+
+def test_solve_makes_no_numpy_call(monkeypatch):
+    monkeypatch.delattr(steady, "np")
+    for branch in QubitBranch:
+        solve_steady_state(headline_params(), DetuningSet.resonant(), branch, 1.0)
+
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_zero_pivot_is_singular(row):
+    diag = [1.0 + 0j, 1.0 + 0j, 1.0 + 0j]
+    diag[row] = 0j
+    with pytest.raises(NumericalError,
+                       match=f"^steady-state system is singular: zero pivot in row {row}$"):
+        _solve_tridiagonal((0j, 0j), tuple(diag), (0j, 0j), (1 + 0j, 0j, 0j))
