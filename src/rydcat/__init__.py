@@ -25,7 +25,8 @@ _EXPORTS = {
     "catstate": (
         "CatState", "LossBudget", "LostFields", "apply_beam_splitter",
         "coherent_overlap", "effective_size", "generate_cat", "loss_budget",
-        "max_photon_number", "optimal_lambda", "sweep_loss_vs_coupling",
+        "max_photon_number", "mode_dressed_overlap", "optimal_lambda",
+        "sweep_loss_vs_coupling",
     ),
     "cavity": (
         "FAR_DETUNED", "CavityParams", "DetuningSet", "OutputAmplitudes",
@@ -35,8 +36,7 @@ _EXPORTS = {
     "errors": ("NumericalError", "ParameterError"),
     "fock": (
         "beam_splitter_pair", "cat_density_matrix", "coherent_state",
-        "default_cutoff", "fock_overlap_lemma_check", "mode_dressed_overlap",
-        "split_two_mode",
+        "default_cutoff", "fock_overlap_lemma_check", "split_two_mode",
     ),
     "montecarlo": (
         "MonteCarloConfig", "MonteCarloResult", "PowerLawStudy",

@@ -25,6 +25,17 @@ def coherent_overlap(a: complex, b: complex) -> complex:
     return cmath.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + a.conjugate() * b)
 
 
+def mode_dressed_overlap(
+    alpha_up: complex, alpha_dn: complex, c_up_dn: complex
+) -> complex:
+    """Closed-form overlap of coherent states of nonorthogonal modes."""
+    return cmath.exp(
+        -0.5 * abs(alpha_up) ** 2
+        - 0.5 * abs(alpha_dn) ** 2
+        + complex(alpha_up).conjugate() * c_up_dn * alpha_dn
+    )
+
+
 @dataclass(frozen=True)
 class CatState:
     """Qubit-correlated superposition of two coherent states.
@@ -151,11 +162,7 @@ def generate_cat(
     dn = output_amplitudes(params, QubitBranch.DOWN, alpha_in)
     # Scattered light: <a_up|a_dn> with the cross term dressed by the
     # radiated-mode overlap.  Mirror loss channels share one mode.
-    gone_a = cmath.exp(
-        -0.5 * abs(up.a) ** 2
-        - 0.5 * abs(dn.a) ** 2
-        + up.a.conjugate() * radiated_mode_overlap * dn.a
-    )
+    gone_a = mode_dressed_overlap(up.a, dn.a, radiated_mode_overlap)
     gone_m = coherent_overlap(up.m, dn.m)
     gone = gone_a * gone_m
     cat = CatState(

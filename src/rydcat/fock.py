@@ -11,14 +11,13 @@ physics in a basis where no Gaussian shortcuts are available.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catstate import CatState
+from .catstate import CatState, mode_dressed_overlap
 from .errors import ParameterError, _integer, _photon_number, _require_finite
 
 
@@ -239,15 +238,4 @@ def fock_overlap_lemma_check(
     closed = mode_dressed_overlap(alpha_up, alpha_dn, c_up_dn)
     return OverlapLemmaResult(
         brute_force=brute, closed_form=closed, fock_matrix_deviation=fock_dev
-    )
-
-
-def mode_dressed_overlap(
-    alpha_up: complex, alpha_dn: complex, c_up_dn: complex
-) -> complex:
-    """Closed-form overlap of coherent states of nonorthogonal modes."""
-    return cmath.exp(
-        -0.5 * abs(alpha_up) ** 2
-        - 0.5 * abs(alpha_dn) ** 2
-        + complex(alpha_up).conjugate() * c_up_dn * alpha_dn
     )

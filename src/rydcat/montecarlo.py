@@ -25,6 +25,7 @@ from .errors import ParameterError, _integer
 from .overlap import (
     Polarization,
     _cloud_widths,
+    _mean_width,
     collective_pairs,
     group_clouds,
     incident_wavevector,
@@ -98,7 +99,7 @@ class MonteCarloConfig:
     def effective_sigmas(self) -> tuple[float, float, float]:
         if not self.isotropic:
             return self.sigmas
-        mean_sigma = float(np.cbrt(np.prod(np.asarray(self.sigmas))))
+        mean_sigma = _mean_width(self.sigmas)
         return (mean_sigma, mean_sigma, mean_sigma)
 
     def resolve_workers(self) -> int:

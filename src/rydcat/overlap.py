@@ -192,12 +192,33 @@ def _cloud_widths(sigmas) -> np.ndarray:
     return sig
 
 
+def _mean_width(sigmas) -> float:
+    """Geometric mean cbrt(s0 * s1 * s2) of the three checked widths.
+
+    Where the product leaves the normal float64 range, the widths'
+    binary exponents are taken out first, so the mean neither
+    underflows to 0 nor overflows.
+    """
+    s0, s1, s2 = _cloud_widths(sigmas).tolist()
+    product = s0 * s1 * s2
+    if _TINY <= product < math.inf:
+        return float(np.cbrt(product))
+    (m0, e0), (m1, e1), (m2, e2) = map(math.frexp, (s0, s1, s2))
+    third, rest = divmod(e0 + e1 + e2, 3)
+    return math.ldexp(float(np.cbrt(math.ldexp(m0 * m1 * m2, rest))), third)
+
+
 def pair_overlap_projected(kx, projection):
     """Real overlap kernel at scaled separation ``kx``.
 
     ``projection`` is the magnitude of the dot product between the unit
-    separation vector and the Jones vector.  Vectorized in ``kx``.
+    separation vector and the Jones vector: in [0, 1], with the 1e-9 of
+    rounding above 1 that a collective overlap is allowed.  Vectorized
+    in ``kx``.
     """
+    p = np.asarray(projection)
+    if not np.all((p >= 0.0) & (p <= 1.0 + 1e-9)):
+        raise ParameterError(f"projection must be in [0, 1], got {projection!r}")
     j0, j2 = j0_j2_stable(kx)
     return j0 + legendre_p2(projection) * j2
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import CavityParams, DetuningSet, QubitBranch, _response_denominator, output_amplitudes
-from .errors import NumericalError, ParameterError, _require_nonnegative, _require_positive
+from .errors import NumericalError, ParameterError, _require_finite, _require_positive
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,12 @@ class RoundTripParams:
     """Microscopic realization of a cavity at a chosen finesse.
 
     The round-trip time, the mirror amplitudes and the medium strength
-    are derived from ``cavity`` on construction.  The derived values are
-    checked again, as numerical guards: past a finesse of about 2e8 the
-    mirror amplitudes round so close to 1 that they no longer reproduce
-    the finesse to the model's own O(1/finesse) error, and a
-    ``wavenumber * medium_length`` outside float64 leaves no finite
-    medium strength (README, "Round-trip model").
+    are derived from ``cavity`` on construction.  Each mirror's loss
+    ``1 - rho**2`` is carried as ``-expm1(-2 kappa t_rt)``, exact at any
+    finesse, so no amplitude rounded to 1 enters the model; a finesse
+    is refused only where a mirror amplitude underflows to 0 or
+    ``wavenumber * medium_length`` leaves float64 (README, "Round-trip
+    model").
     """
 
     cavity: CavityParams
@@ -54,61 +54,25 @@ class RoundTripParams:
         k_l = self.wavenumber * self.medium_length
         kappa_f = cavity.kappa * self.finesse
         _require_positive("wavenumber * medium_length", k_l)
+        _require_finite("wavenumber * medium_length", k_l)
         _require_positive("kappa * finesse", kappa_f)
         t_rt = math.pi / kappa_f
-        rho_in = math.exp(-cavity.kappa_in * t_rt)
+        _require_positive("round_trip_time", t_rt)
         depth = 2.0 * math.pi * cavity.cooperativity / self.finesse
         derived = {
             "round_trip_time": t_rt,
-            "rho_in": rho_in,
-            "tau_in": math.sqrt(1.0 - rho_in**2),
+            "rho_in": math.exp(-cavity.kappa_in * t_rt),
+            "tau_in": math.sqrt(-math.expm1(-2.0 * cavity.kappa_in * t_rt)),
             "rho_hr": math.exp(-cavity.kappa_hr * t_rt),
             "optical_depth": depth,
             "chi0": depth / k_l,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-        _require_positive("round_trip_time", self.round_trip_time)
-        for name in ("optical_depth", "chi0"):
-            _require_nonnegative(name, getattr(self, name))
         for name in ("rho_in", "rho_hr"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ParameterError(f"{name} must be in (0, 1], got {value!r}")
-        # The consistency checks are written as ``not ... <=`` so that a
-        # NaN residual (an infinite wavenumber, say) fails them too.
-        depth = self.wavenumber * self.medium_length * self.chi0
-        if not abs(depth - self.optical_depth) <= 1e-9 * max(1.0, self.optical_depth):
-            raise ParameterError(
-                "optical_depth inconsistent with wavenumber * length * chi0"
-            )
-        loop = self.rho_in * self.rho_hr
-        if loop >= 1.0:
-            raise ParameterError("lossless mirrors leave the finesse undefined")
-        if loop == 0.0:
-            raise ParameterError("rho_in * rho_hr underflows to 0")
-        # The lumped model is off by O(1/finesse) anyway; a recovered
-        # finesse that misses by less than that changes nothing.
-        expected = math.pi / (self.kappa * self.round_trip_time)
-        tolerance = max(1e-9, 1.0 / self.finesse)
-        if not abs(expected - self.finesse) <= tolerance * self.finesse:
-            raise ParameterError(
-                "finesse inconsistent with mirror losses and round-trip time"
-            )
-
-    @property
-    def kappa(self) -> float:
-        """Total field decay rate implied by the mirror amplitudes."""
-        return -math.log(self.rho_in * self.rho_hr) / self.round_trip_time
-
-    @property
-    def kappa_in(self) -> float:
-        """Decay rate through the input mirror alone."""
-        return -math.log(self.rho_in) / self.round_trip_time
-
-    @property
-    def cooperativity(self) -> float:
-        return self.optical_depth * self.finesse / (2.0 * math.pi)
 
     @classmethod
     def from_cavity(
@@ -130,12 +94,32 @@ def susceptibility(
     return 1j * rt.chi0 * rt.cavity.gamma / den
 
 
+def _log_single_pass(
+    rt: RoundTripParams, det: DetuningSet, branch: QubitBranch
+) -> complex:
+    # mu = i k L chi / 2, the log of the single-pass amplitude
+    # transmission.  k L chi0 is the optical depth, so mu is formed from
+    # it and stays exact where chi0 = depth / (k L) is subnormal.
+    den = _response_denominator(rt.cavity, det, branch)
+    return -0.5 * rt.optical_depth * rt.cavity.gamma / den
+
+
+def _expm1(z: complex) -> complex:
+    # exp(z) - 1 for complex z, to a few ulp whenever Re z <= 0: where
+    # cos(Im z) >= 0 the real part adds two terms of one sign, and
+    # elsewhere it is at least 1 in size.
+    half = math.sin(0.5 * z.imag)
+    return complex(
+        math.expm1(z.real) * math.cos(z.imag) - 2.0 * half * half,
+        math.exp(z.real) * math.sin(z.imag),
+    )
+
+
 def medium_transmission(
     rt: RoundTripParams, det: DetuningSet, branch: QubitBranch
 ) -> complex:
     """Amplitude transmission of one pass through the medium."""
-    chi = susceptibility(rt, det, branch)
-    return cmath.exp(0.5j * rt.wavenumber * rt.medium_length * chi)
+    return cmath.exp(_log_single_pass(rt, det, branch))
 
 
 @dataclass(frozen=True)
@@ -162,16 +146,17 @@ def intracavity_and_outputs(
     up to corrections of order 1/finesse, which is inherent to lumping
     the distributed losses at discrete points of the round trip.
     """
-    tau = medium_transmission(rt, det, branch)
-    phase = cmath.exp(1j * det.delta_c * rt.round_trip_time)
-    loop = rt.rho_in * rt.rho_hr * tau * phase
-    denom = 1.0 - loop
-    if abs(denom) < 1e-300:
+    mu = _log_single_pass(rt, det, branch)
+    t_rt = rt.round_trip_time
+    # 1 - rho_in rho_hr tau e^{i delta_c t_rt}, and each loss below, from
+    # its exponent: none of them rounds away at high finesse.
+    denom = -_expm1(mu - rt.cavity.kappa * t_rt + 1j * det.delta_c * t_rt)
+    if denom == 0:
         raise NumericalError("round-trip series does not converge: loop gain 1")
     circ = rt.tau_in * alpha_in / denom
-    r = -rt.rho_in * alpha_in + rt.tau_in * rt.rho_hr * tau * circ
-    a = math.sqrt(max(0.0, 1.0 - abs(tau) ** 2)) * circ
-    m = math.sqrt(1.0 - rt.rho_hr**2) * circ
+    r = -rt.rho_in * alpha_in + rt.tau_in * rt.rho_hr * cmath.exp(mu) * circ
+    a = math.sqrt(-math.expm1(2.0 * mu.real)) * circ
+    m = math.sqrt(-math.expm1(-2.0 * rt.cavity.kappa_hr * t_rt)) * circ
     return RoundTripFields(circulating=circ, r=r, a=a, m=m)
 
 

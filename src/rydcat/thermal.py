@@ -16,13 +16,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import _integer, _require_positive
 from .overlap import (
     Polarization,
-    _cloud_widths,
     _direction_norm,
+    _mean_width,
     incident_wavevector,
     legendre_p2,
 )
@@ -52,16 +50,17 @@ def zeta_from_sigmas(sigmas, wavelength: float) -> float:
     Uses the geometric mean of the three rms widths; the factor sqrt(2)
     converts a single-atom width into a pair-separation width.
     """
-    sig = _cloud_widths(sigmas)
+    mean_sigma = _mean_width(sigmas)
     # Along z the last component of the wavevector is 2 pi / wavelength.
     wavenumber = float(incident_wavevector(wavelength, (0.0, 0.0, 1.0))[2])
-    mean_sigma = float(np.cbrt(sig[0] * sig[1] * sig[2]))
     return math.sqrt(2.0) * wavenumber * mean_sigma
 
 
 def _i0(zeta: float) -> float:
-    # Gaussian average of the order-0 kernel with the drive phase.
-    return -math.expm1(-2.0 * zeta**2) / (2.0 * zeta**2)
+    # Gaussian average of the order-0 kernel with the drive phase; its
+    # zeta -> 0 limit 1 where 2 zeta**2 underflows (zeta below ~1.5e-162).
+    x = 2.0 * zeta**2
+    return -math.expm1(-x) / x if x else 1.0
 
 
 def _i2(zeta: float) -> float:
@@ -111,7 +110,12 @@ def thermal_average_s12(
     try:
         i0 = _i0(zeta)
         i2 = _i2(zeta)
-        low_density_mean = (1.0 - p2_incidence) / (2.0 * zeta**2)
+        weight, x = 1.0 - p2_incidence, 2.0 * zeta**2
+        if x:
+            low_density_mean = weight / x
+        else:
+            # zeta -> 0: below ~1.5e-162, 2 zeta**2 underflows to 0
+            low_density_mean = math.copysign(math.inf, weight) if weight else 0.0
         mean = i0 - p2_incidence * i2
         mean_sq = i0 + (1.0 + p2_self) / 10.0 * i2
         rms = math.sqrt(mean_sq)

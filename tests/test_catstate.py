@@ -163,6 +163,21 @@ class TestGenerateCat:
         assert dressed.theta - plain.theta == pytest.approx(
             2.0 * budget.a_mode * overlap.imag, rel=1e-12
         )
+        # The scattered-light factor is mode_dressed_overlap: the same
+        # bits as the closed form written out in place.
+        for alpha in (1.0, 0.7 - 1.3j):
+            for mode in (1.0, overlap):
+                cat, _ = generate_cat(params, 0.5, 1.0, 0.0, alpha,
+                                      radiated_mode_overlap=mode)
+                up = output_amplitudes(params, QubitBranch.UP, alpha)
+                dn = output_amplitudes(params, QubitBranch.DOWN, alpha)
+                gone = cmath.exp(
+                    -0.5 * abs(up.a) ** 2
+                    - 0.5 * abs(dn.a) ** 2
+                    + up.a.conjugate() * mode * dn.a
+                ) * coherent_overlap(up.m, dn.m)
+                assert cat.visibility == min(1.0, abs(gone))
+                assert cat.theta == cmath.phase(gone)
 
     def test_rejects_overlap_above_unit_magnitude(self):
         with pytest.raises(ParameterError):

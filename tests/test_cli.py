@@ -30,7 +30,11 @@ def run_cli(capsys, *argv):
 # kernel; 3.5e-18 absolute), 7.8e-16 (mc) and 1.4e-15 (figure4).  mc and
 # figure4 were captured again when the drive phase left the pair kernel
 # and the reductions became matrix products of the real kernels, which
-# moves them by at most 1.4e-15 (mc) and 9.3e-16 (figure4).  numpy's
+# moves them by at most 1.4e-15 (mc) and 9.3e-16 (figure4).  Every
+# xcheck pin was captured again when the round-trip model carried its
+# mirror and medium losses as expm1 of their exponents, which moves its
+# error column by at most 2.6e-6 relative (finesse 1e6) and the fitted
+# slope by at most 2.2e-7.  numpy's
 # float64 tan is a SIMD loop on AVX-512 hosts and libm elsewhere; both
 # are within an ulp, but they can differ by one, and so can these bytes.
 GOLDEN_SHA256 = {
@@ -42,8 +46,8 @@ GOLDEN_SHA256 = {
     ("figure3", "json"): "d313c87a01ae3d3aaaf58832fd8e652b69582ec53423c44c00f07fa2d602e099",
     ("headline", "csv"): "12e965aa5893bcf1ce908b10b2e94ef834dee104ccd7aa24387de3ec1f69b605",
     ("headline", "json"): "b4b52d79f0adcae2daa8f46e604795e592513401d2ad2ccb5ee7cee4e87ee7e4",
-    ("xcheck", "csv"): "dc41c0dad41f46e9d3933f4b83b714074a2acf6c229bba341eb641341685a117",
-    ("xcheck", "json"): "0d5606ce23c85001aff1452509a3e9e4c389d8c30f64bb4ef32a8b7b8049399b",
+    ("xcheck", "csv"): "859dfbcc9d38b29ba6507f9ae8f83b817fb1cc057b233dc8e81a04ffed56af51",
+    ("xcheck", "json"): "42afd4ae032ea15439b3d1fad1bb917c251790609db3dc3944a794a47e62a725",
     ("mc", "csv"): "56bf15ced589288d9c94208e87968ae544bf3289effdaaa0898ca3423fa707d0",
     ("mc", "json"): "3b9e8d639aabe06a9248a0d428fd26c4d7c9ee0af7cc40d09aaaa23385a791d3",
     ("figure4", "csv"): "d99a1cbf1cbad3c60e46e9bea0013f646329f24c46b1ca606895c98537eed07b",
@@ -99,13 +103,13 @@ EXTRA_SHA256 = {
     ("figure4 --n-grid 4,7 --runs-budget 150 --polarization linear_x", "json"):
         "89b15b754476e1f81f435e4c6f41aefb663c9b90e2ddcabca4afea3e26d294b1",
     ("xcheck --finesse-grid 1e2:1e4:3", "csv"):
-        "9787d50e6011a19d675287dd70c294c0d4cb45237d989931193aeb1daf6f77a7",
+        "ef324a5ce4580809658c1639c7d231bd6fde3f9a33b53b1dc4d9d121916cd575",
     ("xcheck --finesse-grid 1e2:1e4:3", "json"):
-        "a8939b157ba40d65f384007307cbf9f5be8ce3e3a71a236047e50f589f81f9d7",
+        "020a2c1813dab97e661740a97c915b644e8e0af201c2b0b119ad2103cae80665",
     ("xcheck --finesse-grid 3e2:3e5:2 --lambda-dn 40", "csv"):
-        "bc62af69e2e095292ac2c192dc411d0871a92865f13ed6ce121deda795ba4488",
+        "918dbed124e34207956fa666fdfa456eb640f31fb5a4dc620b8f2973940da56a",
     ("xcheck --finesse-grid 3e2:3e5:2 --lambda-dn 40", "json"):
-        "8ec97836ee3527d8e22d9694095558d186fe7ac06b654b54dbaed69da6db8486",
+        "506aa6f1992ef25ba6d419b8cfee421b5570a292da41332b385e1dbb6327b906",
     ("mc --n-atoms 8 --n-runs 4 --isotropic", "csv"):
         "3bad63c5f7036aee8addfa9e088e37d01a772c06e6a14f7bf408ab3d29190bd4",
     ("mc --n-atoms 8 --n-runs 4 --isotropic", "json"):
@@ -126,13 +130,13 @@ FILE_SHA256 = {
     ("figure4 --n-grid 3:4 --runs-budget 100", "json", "fit-out"):
         "a84b7040e9f7a96c30c7de1164bfd030e733e9464821ed196b79756e829f25f7",
     ("xcheck --finesse-grid 1e2:1e4:3", "csv", "out"):
-        "9787d50e6011a19d675287dd70c294c0d4cb45237d989931193aeb1daf6f77a7",
+        "ef324a5ce4580809658c1639c7d231bd6fde3f9a33b53b1dc4d9d121916cd575",
     ("xcheck --finesse-grid 1e2:1e4:3", "csv", "fit-out"):
-        "49b7e971ddf54006afefdeb3a7fa35994e24f1c0db9c782af8ba760196c8b669",
+        "e10b2f58be411f3458412cd3742c498fcd8b7846b16a29a1d6efbc9476b64af8",
     ("xcheck --finesse-grid 1e2:1e4:3", "json", "out"):
-        "a8939b157ba40d65f384007307cbf9f5be8ce3e3a71a236047e50f589f81f9d7",
+        "020a2c1813dab97e661740a97c915b644e8e0af201c2b0b119ad2103cae80665",
     ("xcheck --finesse-grid 1e2:1e4:3", "json", "fit-out"):
-        "49b7e971ddf54006afefdeb3a7fa35994e24f1c0db9c782af8ba760196c8b669",
+        "e10b2f58be411f3458412cd3742c498fcd8b7846b16a29a1d6efbc9476b64af8",
 }
 GOLDEN_ARGS = {
     "mc": ("--n-atoms", "20", "--n-runs", "4"),
@@ -207,6 +211,8 @@ class TestExitCodes:
         (["amplitudes", "--alpha-in", "1e308+1e308j"], "alpha_in is too large"),
         (["figure4", "--n-grid", "3,3"], "repeats the atom number 3"),
         (["figure4", "--n-grid", "3,4,3"], "repeats the atom number 3"),
+        (["figure3", "--projections", "2"], "projection must be in [0, 1]"),
+        (["figure3", "--projections", "0,1.5"], "projection must be in [0, 1]"),
     ])
     def test_out_of_range_value_is_one_line(self, capsys, argv, message):
         assert cli.main(argv) == 2
@@ -434,12 +440,22 @@ class TestFigureOutputs:
         assert len(lines) == 4
 
     def test_xcheck_reaches_finesse_1e8(self, capsys):
-        # The round-trip guard allows the model's own O(1/finesse) error.
+        # At 1e8 the error still follows the O(1/finesse) law of the
+        # lumped model (0.393 / finesse), not the rounding of the mirrors.
         code, out = run_cli(capsys, "xcheck", "--finesse-grid", "1e2:1e8:7")
         assert code == 0
         rows = out.strip().split("\n")[1:]
         assert [float(row.split(",")[0]) for row in rows] == [
             10.0**n for n in range(2, 9)]
+        assert float(rows[-1].split(",")[1]) == pytest.approx(3.93e-9, rel=0.01)
+
+    def test_xcheck_first_order_up_to_finesse_1e14(self, capsys):
+        code, out = run_cli(capsys, "xcheck", "--finesse-grid", "1e2:1e14:13",
+                            "--format", "json")
+        assert code == 0
+        table = json.loads(out)
+        assert len(table["columns"]["finesse"]) == 13
+        assert -1.05 <= table["fit"]["slope"] <= -0.95
 
 
 class TestOutputFile:

@@ -45,6 +45,14 @@ class TestConfig:
         for s in iso.effective_sigmas:
             assert s == pytest.approx(2.9335384957512604, rel=1e-14)
 
+    @pytest.mark.parametrize("width", [1e-110, 1e120])
+    def test_isotropic_mean_of_extreme_widths(self, width):
+        # The product of the widths underflows or overflows float64.
+        iso = MonteCarloConfig(sigmas=(width / 2.0, width, width * 2.0),
+                               isotropic=True)
+        for s in iso.effective_sigmas:
+            assert s == pytest.approx(width, rel=4e-16, abs=0.0)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

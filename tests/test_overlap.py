@@ -27,6 +27,7 @@ from rydcat.overlap import (
     _TILE_PAIRS,
     _branch_overlap,
     _pair_block,
+    _mean_width,
     _row_blocks,
     collective_pairs,
     incident_wavevector,
@@ -116,6 +117,39 @@ class TestPairOverlap:
         assert pair_overlap(x_j, x_i, k_in, pol) == pytest.approx(
             pair_overlap(x_i, x_j, k_in, pol).conjugate()
         )
+
+
+    @pytest.mark.parametrize("projection", [2.0, -0.1, math.nan, 1.0 + 2e-9,
+                                            np.array([0.5, 1.5])])
+    def test_projection_outside_unit_interval_refused(self, projection):
+        # A projection of 2 gave a pair overlap of 1.18, above 1.
+        with pytest.raises(ParameterError, match="projection must be in"):
+            pair_overlap_projected(1.0, projection)
+
+    def test_projection_rounding_slack_accepted(self):
+        assert pair_overlap_projected(0.0, 1.0 + 1e-9) == 1.0
+        assert pair_overlap_projected(3.0, np.float64(0.0)) == (
+            pair_overlap_projected(3.0, 0.0))
+
+
+class TestMeanWidth:
+    def test_bits_where_the_product_is_normal(self):
+        # The cube root of the product, as the Monte Carlo and the thermal
+        # forms took it before they shared this helper.
+        rng = np.random.default_rng(17)
+        widths = np.concatenate([rng.uniform(0.1, 10.0, (10000, 3)),
+                                 10.0 ** rng.uniform(-100.0, 100.0, (10000, 3))])
+        for sig in widths.tolist():
+            assert _mean_width(sig) == float(np.cbrt(np.prod(np.asarray(sig))))
+
+    @pytest.mark.parametrize("width", [1e-110, 1e-170, 1e-300, 5e-324,
+                                       1e120, 1e200, 1.7e308])
+    def test_scales_past_the_normal_range(self, width):
+        # The product underflows or overflows here; the mean does not.
+        assert _mean_width((width,) * 3) == pytest.approx(width, rel=4e-16, abs=0.0)
+        if 1e-300 <= width <= 1e200:
+            skewed = (width / 8.0, width, width * 8.0)
+            assert _mean_width(skewed) == pytest.approx(width, rel=4e-16, abs=0.0)
 
 
 class TestAtomCloud:

@@ -31,9 +31,12 @@ class TestConstruction:
     def test_reproduces_macroscopic_rates(self):
         cavity = headline_cavity()
         rt = RoundTripParams.from_cavity(cavity, 1e4)
-        assert rt.kappa == pytest.approx(cavity.kappa, rel=1e-12)
-        assert rt.kappa_in == pytest.approx(cavity.kappa_in, rel=1e-12)
-        assert rt.cooperativity == pytest.approx(cavity.cooperativity, rel=1e-12)
+        kappa_in = -math.log(rt.rho_in) / rt.round_trip_time
+        kappa = kappa_in - math.log(rt.rho_hr) / rt.round_trip_time
+        cooperativity = rt.optical_depth * rt.finesse / (2.0 * math.pi)
+        assert kappa == pytest.approx(cavity.kappa, rel=1e-12)
+        assert kappa_in == pytest.approx(cavity.kappa_in, rel=1e-12)
+        assert cooperativity == pytest.approx(cavity.cooperativity, rel=1e-12)
 
     def test_mirror_amplitudes_consistent(self):
         rt = RoundTripParams.from_cavity(headline_cavity(), 500.0)
@@ -45,10 +48,22 @@ class TestConstruction:
         rt = RoundTripParams.from_cavity(cavity, 1e3)
         assert rt.rho_hr == 1.0
 
-    def test_rejects_lossless_mirrors(self):
-        # At finesse 1e17 both mirror amplitudes round to 1.
-        with pytest.raises(ParameterError, match="lossless mirrors"):
-            RoundTripParams.from_cavity(headline_cavity(), 1e17)
+    def test_mirrors_rounded_to_one_keep_their_losses(self):
+        # At finesse 1e17 both mirror amplitudes round to 1, but the
+        # losses are carried from their exponents: the transmission and
+        # the outputs stay at the closed forms' values.
+        cavity = headline_cavity()
+        rt = RoundTripParams.from_cavity(cavity, 1e17)
+        assert rt.rho_in == rt.rho_hr == 1.0
+        t_rt = rt.round_trip_time
+        assert rt.tau_in == pytest.approx(
+            math.sqrt(2.0 * cavity.kappa_in * t_rt), rel=1e-15, abs=0.0)
+        for branch in QubitBranch:
+            exact = output_amplitudes(cavity, branch, 1.0)
+            fields = intracavity_and_outputs(
+                rt, DetuningSet.resonant(), branch, 1.0)
+            for name in ("r", "a", "m"):
+                assert abs(getattr(fields, name) - getattr(exact, name)) < 1e-14
 
     def test_rejects_nonpositive_finesse(self):
         with pytest.raises(ParameterError):
@@ -65,12 +80,13 @@ class TestConstruction:
         [
             (headline_cavity(), (1e3, 1e-200, 1e-200), "wavenumber * medium_length"),
             (CavityParams(0.5, 3.0, kappa=1e-200), (1e-200,), "kappa * finesse"),
-            (headline_cavity(), (4.2e-3,), "rho_in * rho_hr"),
+            (headline_cavity(), (4.1e-3,), "rho_in must be in (0, 1]"),
         ],
         ids=["medium", "decay", "mirrors"],
     )
     def test_rejects_product_underflow(self, cavity, args, message):
-        # Each factor is > 0, but their product rounds to 0.
+        # Each factor is > 0, but their product (for the mirror, the
+        # amplitude exp(-kappa_in * round_trip_time)) rounds to 0.
         with pytest.raises(ParameterError, match=re.escape(message)):
             RoundTripParams.from_cavity(cavity, *args)
 
@@ -101,24 +117,23 @@ def _pin(rt) -> str:
 
 # Outcome of from_cavity at the headline cavity across the finesse
 # range: the sha256 of _pin where it is accepted, the error message
-# where it is refused.  From a finesse of about 1.8e8 the mirror
-# amplitudes round too close to 1 to reproduce the finesse to the
-# model's own O(1/finesse) error, and from about 5.6e16 they round to
-# exactly 1.  Below about 4.2e-3 the mirror amplitudes underflow.
+# where it is refused.  Below about 4.14e-3 the input mirror amplitude
+# underflows to 0; every larger finesse is accepted, also where the
+# mirror amplitudes round to 1 (from about 5.6e16).
 FROM_CAVITY_PINS = {
     1e-3: "rho_in must be in (0, 1], got 0.0",
-    4.2e-3: "rho_in * rho_hr underflows to 0",
-    4.25e-3: "1ec11281dc1364249ebc776f673bf6412aab82f2e26a50db5e967f25e504d4ff",
-    1e-2: "fcc544e031cf348812ff2a3ad03020da86a70e5eb24d036e0318fb19d2b5588e",
-    1.0: "2c73a622742ea6394d05662c527fe5c46ef4b0385a2471aa6f86820dbd6842f7",
-    1e2: "e6aa508584d854b66089a5b35f8a440e277f84e15a8572385d2ccddaf08146ee",
-    1e6: "2d58405213c37f09d397c47b9fae67a59ab544d05c17a96206ce4108ad795c0e",
-    3e7: "d266e30dc5a482e65399a19361771f967a214e8a97e491d68f45eee65ddb7995",
-    1e8: "8866b3e0649ee7f60c946766b99439ac111b1109f859bf014c2c64e49b0d9a3e",
-    3e8: "finesse inconsistent with mirror losses and round-trip time",
-    1e12: "finesse inconsistent with mirror losses and round-trip time",
-    1e17: "lossless mirrors leave the finesse undefined",
-    1e300: "lossless mirrors leave the finesse undefined",
+    4.2e-3: "60d6461c2fe352f8d7f8633bea6c5410ba19c2f9871bde887f13689524347d45",
+    4.25e-3: "2475587ff35e8f764a41d6ea1a57288a8d951f98c27eac2ac3fbca38473a4424",
+    1e-2: "977cd2fefef3bf7a62b5c3ee797ee67b500205592b9f73c37878a6a879b1c37d",
+    1.0: "580aecc1d7053d88ba154092868b286d872c3e0479447804b6d553bbd4153925",
+    1e2: "170e4ba61c1bc787cb03d3fd7ba269faba1f4853d3f5f17456b2f9966d236448",
+    1e6: "75e1572fc00b5d4cd2ab16b9dee57484cf87ac4122915fad98bcbeb55d82cc9d",
+    3e7: "6f875b81fd6c008d853fa6c01eaa422c70e3212e0d3f27a1268f4c5aa30be783",
+    1e8: "2e1c8cbf31766f09a94c0906c387f06966dc0833bdb0c2e6323d3ad24a098e7c",
+    3e8: "31641cb50270f9ce7abf9fdbcbb481f02239ff9e8d524b41dd4c2503066f8ba5",
+    1e12: "bd02ed85be65c43430f3723ed7bedab73e64e952961668ca335077f131e5bd9f",
+    1e17: "c264fcd145f290f9ba0537426ce4371a89facb1e5c479957105644cab0f8d81d",
+    1e300: "d80048af39031f0b8bf351a562cbdc85b55d03e8e5cc11df6373fe48382c1adc",
 }
 
 
@@ -134,10 +149,10 @@ def test_from_cavity_outcome_pinned(finesse):
 
 
 def test_medium_product_overflow_refused():
-    # k * L = inf leaves chi0 = 0, and the optical depth check fails.
+    # k * L = inf would leave chi0 = 0 and no finite medium strength.
     with pytest.raises(
         ParameterError,
-        match="^optical_depth inconsistent with wavenumber \\* length \\* chi0$",
+        match="^wavenumber \\* medium_length must be finite, got inf$",
     ):
         RoundTripParams.from_cavity(
             headline_cavity(), 1e3, wavenumber=1e200, medium_length=1e200
@@ -191,6 +206,19 @@ class TestOutputs:
                 )
                 assert abs(total - 1.0) < 10.0 / finesse
 
+    @pytest.mark.parametrize("finesse", [1e3, 1e12, 1e20])
+    def test_outputs_depend_on_the_medium_only_through_its_depth(self, finesse):
+        # At k = L = 1e154, chi0 = depth / (k L) is subnormal or 0; the
+        # outputs are formed from the optical depth and keep their bits.
+        cavity = headline_cavity()
+        plain = RoundTripParams.from_cavity(cavity, finesse)
+        long = RoundTripParams.from_cavity(cavity, finesse, 1e154, 1e154)
+        assert long.chi0 < 1e-300
+        det = DetuningSet(delta_c=0.3, delta_s=-0.2, delta_2_dn=0.1)
+        for branch in QubitBranch:
+            assert intracavity_and_outputs(long, det, branch, 1.0) == (
+                intracavity_and_outputs(plain, det, branch, 1.0))
+
     def test_detuned_reflection_matches_continuum_model(self):
         cavity = headline_cavity()
         rt = RoundTripParams.from_cavity(cavity, 1e5)
@@ -212,11 +240,43 @@ class TestOutputs:
                                                    rel=1e-12)
 
 
+def _worst_error(cavity, finesse):
+    # Worst of the three outputs against the closed forms, on resonance.
+    rt = RoundTripParams.from_cavity(cavity, finesse)
+    worst = 0.0
+    for branch in QubitBranch:
+        exact = output_amplitudes(cavity, branch, 1.0)
+        fields = intracavity_and_outputs(rt, DetuningSet.resonant(), branch, 1.0)
+        worst = max(worst, abs(fields.r - exact.r), abs(fields.a - exact.a),
+                    abs(fields.m - exact.m))
+    return worst
+
+
 class TestConvergence:
     def test_first_order_convergence(self):
         study = convergence_study(headline_cavity(), np.geomspace(1e2, 1e5, 4))
         assert np.all(np.diff(study.max_error) < 0.0)
         assert study.slope == pytest.approx(-1.0, abs=0.1)
+
+    @given(
+        eta=st.floats(0.5, 1.0),
+        cooperativity=st.floats(0.5, 50.0),
+        lam=st.floats(1.0, 100.0),
+        log_finesse=st.floats(3.0, 15.0),
+    )
+    def test_first_order_law_holds_to_high_finesse(
+        self, eta, cooperativity, lam, log_finesse
+    ):
+        # The model's error is its own physics over the whole range, not
+        # rounding: c1 / F + c2 / F**2 with c1 read at 1e6 and c2 at 1e3,
+        # within 5 %, down to a floor of 1e-14.  c1 vanishes at perfect
+        # escape (eta = 1), where the error falls as 1 / F**2.
+        cavity = CavityParams.from_coupling_strength(eta, cooperativity, lam)
+        finesse = 10.0**log_finesse
+        c1 = 1e6 * _worst_error(cavity, 1e6)
+        c2 = max(0.0, 1e6 * _worst_error(cavity, 1e3) - 1e3 * c1)
+        bound = 1.05 * (c1 / finesse + c2 / finesse**2)
+        assert _worst_error(cavity, finesse) <= max(bound, 1e-14)
 
     def test_unrealizable_finesse_refused_without_warning(self):
         # The round trip at finesse 1e-320 takes longer than float64

@@ -14,7 +14,7 @@ from rydcat import (
     zeta_from_sigmas,
 )
 from rydcat.overlap import legendre_p2
-from rydcat.thermal import _i2
+from rydcat.thermal import _i2, _incidence_projection
 
 from oracles import thermal_mean_quadrature, thermal_mean_sq_quadrature
 
@@ -27,6 +27,14 @@ def test_zeta_from_sigmas_frozen_value():
     assert zeta_from_sigmas(SIGMAS, WAVELENGTH) == pytest.approx(
         33.418892644112907, rel=1e-14
     )
+
+
+@pytest.mark.parametrize("width", [1e-170, 1e-110, 1e120, 1e300])
+def test_zeta_from_extreme_widths(width):
+    # The widths' product leaves float64; zeta stays their scaled mean.
+    zeta = zeta_from_sigmas((width,) * 3, WAVELENGTH)
+    assert zeta == pytest.approx(
+        math.sqrt(2.0) * 2.0 * math.pi / WAVELENGTH * width, rel=1e-15, abs=0.0)
 
 
 def test_zeta_rejects_bad_inputs():
@@ -169,12 +177,12 @@ def test_linear_polarization_moments_differ():
                                                 rel=1e-14)
 
 
-def mpmath_i0_i2(zeta):
+def mpmath_i0_i2(zeta, digits=60):
     # the closed forms of the order-0 and order-2 Gaussian averages, at
-    # 60 digits
+    # 60 digits by default
     from mpmath import expm1, mp, mpf
 
-    mp.dps = 60
+    mp.dps = digits
     z = mpf(float(zeta))
     damp = -expm1(-2 * z**2)
     return damp / (2 * z**2), -3 / z**4 + damp / 2 * (1 / z**2 + 3 / z**4 + 3 / z**6)
@@ -223,6 +231,43 @@ def test_far_cloud_statistics(zeta, pol):
     assert stats.rms > 0.0
     assert stats.mean == stats.low_density_mean
     assert stats.rms == stats.low_density_rms
+
+
+@pytest.mark.parametrize("zeta", [1e-163, 1e-200, 5e-324])
+@pytest.mark.parametrize("pol, e_in", [
+    (Polarization.circular(), (0.0, 0.0, -1.0)),
+    (Polarization.linear((0.0, 1.0, 1.0)), (0.0, 0.0, -1.0)),
+    (Polarization.linear(), (1.0, 0.0, 0.0)),
+], ids=["circular", "linear", "along-drive"])
+def test_vanishing_cloud_statistics(zeta, pol, e_in):
+    # zeta**2 underflows to 0 here: each moment is its zeta -> 0 limit
+    # (mean = mean_sq = rms = 1, the low-density mean infinite unless its
+    # Legendre weight is 0), which the closed forms give at 3400 digits,
+    # enough to cancel their 1 / zeta**6 terms at 5e-324.
+    from mpmath import mp, mpf, sqrt
+
+    stats = thermal_average_s12(zeta, pol, e_in)
+    p2_in = legendre_p2(_incidence_projection(pol, e_in))
+    p2_self = legendre_p2(pol.self_overlap)
+    digits = mp.dps
+    try:
+        i0, i2 = mpmath_i0_i2(zeta, digits=3400)
+        mean_sq = i0 + (1 + p2_self) / 10 * i2
+        expect = {
+            "mean": i0 - p2_in * i2,
+            "mean_sq": mean_sq,
+            "rms": sqrt(mean_sq),
+            "low_density_mean": (1 - mpf(p2_in)) / (2 * mpf(zeta) ** 2),
+        }
+        expect = {name: float(value) for name, value in expect.items()}
+    finally:
+        mp.dps = digits
+    for name, value in expect.items():
+        assert math.isclose(getattr(stats, name), value, rel_tol=2e-16), name
+    assert (stats.mean, stats.mean_sq, stats.rms) == (1.0, 1.0, 1.0)
+    assert predicted_power_law_coefficient(zeta, pol, e_in) == 0.25
+    with pytest.warns(UserWarning, match="dilute-cloud expansion"):
+        assert second_order_large_n(zeta, 10, pol, e_in) == -0.25 / 1000
 
 
 def test_statistics_bytes_pinned():
