@@ -28,11 +28,11 @@ class RoundTripParams:
 
     The round-trip time, the mirror amplitudes and the medium strength
     are derived from ``cavity`` on construction.  Each mirror's loss
-    ``1 - rho**2`` is carried as ``-expm1(-2 kappa t_rt)``, exact at any
-    finesse, so no amplitude rounded to 1 enters the model; a finesse
-    is refused only where a mirror amplitude underflows to 0 or
-    ``wavenumber * medium_length`` leaves float64 (README, "Round-trip
-    model").
+    ``1 - rho**2`` is carried as ``-expm1(-2 kappa t_rt)``, accurate to
+    rounding at any finesse, so no amplitude rounded to 1 enters the
+    model.  A finesse is refused only where a mirror amplitude
+    underflows to 0 or ``wavenumber * medium_length`` leaves float64
+    (README, "Round-trip model").
     """
 
     cavity: CavityParams
