@@ -50,7 +50,7 @@ _EXPORTS = {
     ),
     "roundtrip": (
         "ConvergenceStudy", "RoundTripParams", "convergence_study",
-        "intracavity_and_outputs", "medium_transmission", "susceptibility",
+        "intracavity_and_outputs", "medium_transmission",
     ),
     "steady": (
         "SteadyState", "solve_steady_state", "spontaneous_amplitude",

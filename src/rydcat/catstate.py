@@ -236,6 +236,13 @@ def _budget(e: float, c: float, lam, b_mode: float = 0.0) -> dict:
             "l_ell": l_ell, "l_gen": l_gen, "a_mode": a_mode}
 
 
+def _budget_lambda_inf(params: CavityParams) -> dict:
+    """``eta`` and the limits of ``l_gen``, ``l_cav`` and ``l_ell`` as lam -> inf."""
+    eta = _eta(params.eta_esc, _cooperativity(params))
+    return {"eta": eta, "l_gen": 1.0 - eta, "l_cav": 1.0 - eta**2,
+            "l_ell": eta * (1.0 - eta)}
+
+
 def _cooperativity(params: CavityParams) -> float:
     """The cooperativity, which every loss figure needs to be > 0."""
     if params.cooperativity == 0.0:

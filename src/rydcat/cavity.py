@@ -31,29 +31,9 @@ from .errors import (
 )
 
 
-class _FarDetuned:
-    """Sentinel for an infinitely large two-photon detuning.
-
-    Used instead of a big float so the coupling-laser term can be dropped
-    exactly rather than divided into oblivion.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "FAR_DETUNED"
-
-    def __abs__(self):
-        # Infinite, so a finiteness check refuses the sentinel by name.
-        return math.inf
-
-
-FAR_DETUNED = _FarDetuned()
+# An infinite two-photon detuning: the coupling-laser term drops out
+# exactly rather than being divided into oblivion.
+FAR_DETUNED = math.inf
 
 
 class QubitBranch(Enum):
@@ -130,7 +110,12 @@ class CavityParams:
         """
         if not lambda_dn >= 1.0:
             raise ParameterError(f"lambda_dn must be >= 1, got {lambda_dn!r}")
-        omega_c = math.sqrt(2.0 * gamma * gamma_rg * (lambda_dn**2 - 1.0))
+        try:
+            omega_c = math.sqrt(2.0 * gamma * gamma_rg * (lambda_dn**2 - 1.0))
+        except OverflowError:
+            raise ParameterError(
+                f"lambda_dn is too large: lambda_dn^2 overflows float64, got {lambda_dn!r}"
+            ) from None
         return cls(eta_esc, cooperativity, kappa, gamma, omega_c, gamma_rg)
 
 
@@ -138,26 +123,27 @@ class CavityParams:
 class DetuningSet:
     """Signal, cavity, and two-photon detunings.
 
-    Each detuning is finite.  ``delta_2_up`` defaults to the far-detuned
-    sentinel: with a stored excitation the blockade shift pushes the
-    two-photon resonance out of reach, so the coupling-laser term drops
-    out exactly.  ``FAR_DETUNED`` is the one way to ask for an infinite
-    two-photon detuning, on either branch; the signal and cavity
-    detunings refuse it.
+    The signal and cavity detunings are finite.  A two-photon detuning
+    may be infinite (``FAR_DETUNED``, ``math.inf``, of either sign),
+    which drops the coupling-laser term exactly, but not NaN.
+    ``delta_2_up`` defaults to ``FAR_DETUNED``: with a stored excitation
+    the blockade shift pushes the two-photon resonance out of reach.
     """
 
     delta_c: float = 0.0
     delta_s: float = 0.0
-    delta_2_up: "float | _FarDetuned" = FAR_DETUNED
-    delta_2_dn: "float | _FarDetuned" = 0.0
+    delta_2_up: float = FAR_DETUNED
+    delta_2_dn: float = 0.0
 
     def __post_init__(self):
-        for name in ("delta_c", "delta_s", "delta_2_up", "delta_2_dn"):
+        _require_finite("delta_c", self.delta_c)
+        _require_finite("delta_s", self.delta_s)
+        for name in ("delta_2_up", "delta_2_dn"):
             value = getattr(self, name)
-            if value is not FAR_DETUNED or name in ("delta_c", "delta_s"):
-                _require_finite(name, value)
+            if value != value:
+                raise ParameterError(f"{name} must not be NaN, got {value!r}")
 
-    def delta_2(self, branch: QubitBranch) -> "float | _FarDetuned":
+    def delta_2(self, branch: QubitBranch) -> float:
         return self.delta_2_up if branch is QubitBranch.UP else self.delta_2_dn
 
     @classmethod
@@ -244,7 +230,7 @@ def _response_denominator(
     """Dressed atomic response denominator of the medium for one branch."""
     delta_2 = det.delta_2(branch)
     den = params.gamma - 1j * det.delta_s
-    if delta_2 is FAR_DETUNED:
+    if abs(delta_2) == math.inf:
         return den
     two_photon = 2.0 * params.gamma_rg - 4j * delta_2
     if two_photon == 0:

@@ -259,14 +259,9 @@ def cmd_headline(args) -> None:
 
     cavity = CavityParams(args.eta_esc, args.cooperativity)
     if args.lambda_inf:
-        eta = cavity.eta_esc * cavity.cooperativity / (cavity.cooperativity + 1.0)
-        results = {
-            "eta": eta,
-            "l_gen": 1.0 - eta,
-            "l_cav": 1.0 - eta**2,
-            "l_ell": eta * (1.0 - eta),
-        }
-        _emit(args, results=results)
+        from .catstate import _budget_lambda_inf
+
+        _emit(args, results=_budget_lambda_inf(cavity))
         return
     lambda_opt = optimal_lambda(cavity)
     params = CavityParams.from_coupling_strength(

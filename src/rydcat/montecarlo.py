@@ -85,7 +85,10 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         _integer("n_atoms", self.n_atoms, minimum=2)
-        _integer("n_runs", self.n_runs, minimum=2)
+        if not _integer("n_runs", self.n_runs, minimum=2) < 2**32:
+            raise ParameterError(
+                f"run counts must fit in 32 bits for stream keying, got {self.n_runs!r}"
+            )
         if not 0 <= _integer("seed", self.seed) < 2**64:
             raise ParameterError("seed must fit in an unsigned 64-bit integer")
         if self.workers is not None:

@@ -73,24 +73,35 @@ class Polarization:
 
     @classmethod
     def linear(cls, axis=(1.0, 0.0, 0.0)) -> "Polarization":
+        """Linear polarization along ``axis``, any finite nonzero vector.
+
+        Where ``axis . axis`` leaves the normal float64 range, the axis
+        is first divided by its largest component, so a tiny or huge
+        axis is normalized without underflow or overflow.
+        """
         axis = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(axis)
-        if norm == 0.0:
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.vdot(axis, axis))
+        if not _TINY <= norm_sq < math.inf:
+            top = float(np.max(np.abs(axis), initial=0.0))
+            if not top < math.inf:
+                raise ParameterError(
+                    f"linear polarization axis must be finite, got {axis.tolist()!r}"
+                )
+            if top > 0.0:
+                axis = axis / top
+                norm_sq = float(np.vdot(axis, axis))
+        if norm_sq == 0.0:
             raise ParameterError("linear polarization axis cannot be zero")
-        return cls((axis / norm).astype(complex))
+        return cls((axis / math.sqrt(norm_sq)).astype(complex))
 
 
 @dataclass(frozen=True, eq=False)
 class AtomCloud:
-    """Fixed atom positions and the incident wavevector.
-
-    ``sigmas`` is optional provenance of a Gaussian draw; it does not
-    affect any computation.
-    """
+    """Fixed atom positions and the incident wavevector."""
 
     positions: np.ndarray
     k_in: np.ndarray
-    sigmas: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float)
@@ -134,12 +145,7 @@ class AtomCloud:
         # Standard normals scaled per axis: the same draws, bit for bit,
         # as rng.normal(0.0, sig, size), and the form the Monte Carlo
         # uses on its stacked clouds.
-        positions = rng.standard_normal((n_atoms, 3)) * sig
-        return cls(
-            positions=positions,
-            k_in=k_in,
-            sigmas=tuple(float(s) for s in sig),
-        )
+        return cls(positions=rng.standard_normal((n_atoms, 3)) * sig, k_in=k_in)
 
 
 def incident_wavevector(wavelength: float, direction) -> np.ndarray:

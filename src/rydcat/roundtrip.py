@@ -2,12 +2,12 @@
 
 Instead of the input-output closed forms, this module builds the cavity
 response from its microscopic ingredients: mirror amplitude
-reflectivities, a round-trip time, and a linear susceptibility of the
-intracavity medium.  Summing the geometric series of round trips gives
-the circulating field and the three output channels.  The model carries
-finite-finesse corrections of relative size 1/finesse, so it converges
-to the closed forms as the finesse grows; that convergence is the main
-cross-check it provides.
+reflectivities, a round-trip time, and the single-pass transmission of
+the intracavity medium, set by its optical depth.  Summing the
+geometric series of round trips gives the circulating field and the
+three output channels.  The model carries finite-finesse corrections
+of relative size 1/finesse, so it converges to the closed forms as the
+finesse grows; that convergence is the main cross-check it provides.
 """
 
 from __future__ import annotations
@@ -19,53 +19,44 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import CavityParams, DetuningSet, QubitBranch, _response_denominator, output_amplitudes
-from .errors import NumericalError, ParameterError, _require_finite, _require_positive
+from .errors import NumericalError, ParameterError, _require_positive
 
 
 @dataclass(frozen=True)
 class RoundTripParams:
     """Microscopic realization of a cavity at a chosen finesse.
 
-    The round-trip time, the mirror amplitudes and the medium strength
-    are derived from ``cavity`` on construction.  Each mirror's loss
-    ``1 - rho**2`` is carried as ``-expm1(-2 kappa t_rt)``, accurate to
-    rounding at any finesse, so no amplitude rounded to 1 enters the
-    model.  A finesse is refused only where a mirror amplitude
-    underflows to 0 or ``wavenumber * medium_length`` leaves float64
-    (README, "Round-trip model").
+    The round-trip time, the mirror amplitudes and the single-pass
+    optical depth of the medium are derived from ``cavity`` on
+    construction.  Each mirror's loss ``1 - rho**2`` is carried as
+    ``-expm1(-2 kappa t_rt)``, accurate to rounding at any finesse, so
+    no amplitude rounded to 1 enters the model.  A finesse is refused
+    only where a mirror amplitude underflows to 0 (README, "Round-trip
+    model").
     """
 
     cavity: CavityParams
     finesse: float
-    wavenumber: float = 2.0 * math.pi
-    medium_length: float = 1.0
     round_trip_time: float = field(init=False)
     rho_in: float = field(init=False)
     tau_in: float = field(init=False)
     rho_hr: float = field(init=False)
     optical_depth: float = field(init=False)
-    chi0: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("finesse", "wavenumber", "medium_length"):
-            _require_positive(name, getattr(self, name))
+        _require_positive("finesse", self.finesse)
         # Each factor can be > 0 while the product underflows to 0.
         cavity = self.cavity
-        k_l = self.wavenumber * self.medium_length
         kappa_f = cavity.kappa * self.finesse
-        _require_positive("wavenumber * medium_length", k_l)
-        _require_finite("wavenumber * medium_length", k_l)
         _require_positive("kappa * finesse", kappa_f)
         t_rt = math.pi / kappa_f
         _require_positive("round_trip_time", t_rt)
-        depth = 2.0 * math.pi * cavity.cooperativity / self.finesse
         derived = {
             "round_trip_time": t_rt,
             "rho_in": math.exp(-cavity.kappa_in * t_rt),
             "tau_in": math.sqrt(-math.expm1(-2.0 * cavity.kappa_in * t_rt)),
             "rho_hr": math.exp(-cavity.kappa_hr * t_rt),
-            "optical_depth": depth,
-            "chi0": depth / k_l,
+            "optical_depth": 2.0 * math.pi * cavity.cooperativity / self.finesse,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -75,31 +66,16 @@ class RoundTripParams:
                 raise ParameterError(f"{name} must be in (0, 1], got {value!r}")
 
     @classmethod
-    def from_cavity(
-        cls,
-        cavity: CavityParams,
-        finesse: float,
-        wavenumber: float = 2.0 * math.pi,
-        medium_length: float = 1.0,
-    ) -> "RoundTripParams":
+    def from_cavity(cls, cavity: CavityParams, finesse: float) -> "RoundTripParams":
         """Realize the given macroscopic cavity at a chosen finesse."""
-        return cls(cavity, finesse, wavenumber, medium_length)
-
-
-def susceptibility(
-    rt: RoundTripParams, det: DetuningSet, branch: QubitBranch
-) -> complex:
-    """Linear susceptibility of the intracavity medium."""
-    den = _response_denominator(rt.cavity, det, branch)
-    return 1j * rt.chi0 * rt.cavity.gamma / den
+        return cls(cavity, finesse)
 
 
 def _log_single_pass(
     rt: RoundTripParams, det: DetuningSet, branch: QubitBranch
 ) -> complex:
-    # mu = i k L chi / 2, the log of the single-pass amplitude
-    # transmission.  k L chi0 is the optical depth, so mu is formed from
-    # it and stays exact where chi0 = depth / (k L) is subnormal.
+    # mu, the log of the single-pass amplitude transmission: half the
+    # optical depth times the branch's normalized atomic response.
     den = _response_denominator(rt.cavity, det, branch)
     return -0.5 * rt.optical_depth * rt.cavity.gamma / den
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams, DetuningSet, FAR_DETUNED, QubitBranch
+from .cavity import CavityParams, DetuningSet, QubitBranch
 from .errors import NumericalError
 
 
@@ -49,14 +49,14 @@ def _steady_system(
     ``(e_cav, p_medium, s_spinwave)``, as Python complex numbers: row i
     reads ``lower[i - 1] x[i - 1] + diag[i] x[i] + upper[i] x[i + 1]
     = rhs[i]``.  The couplings are symmetric, so ``lower`` is ``upper``.
-    On the blockaded branch the spin coherence is frozen out (its
-    two-photon detuning is effectively infinite): its coupling to the
-    polarization vanishes and its row pins it to zero.
+    Where the two-photon detuning is infinite, as on the blockaded
+    branch by default, the spin coherence is frozen out: its coupling
+    to the polarization vanishes and its row pins it to zero.
     """
     # Collective coupling rate fixed by the cooperativity.
     g = math.sqrt(params.cooperativity * params.kappa * params.gamma)
     delta_2 = det.delta_2(branch)
-    if delta_2 is FAR_DETUNED:
+    if abs(delta_2) == math.inf:
         half_omega = 0.0
         spin = 1.0 + 0.0j
     else:

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
-from rydcat.cavity import FAR_DETUNED
 from rydcat.errors import ParameterError
 from rydcat.fock import beam_splitter_pair, coherent_state
 
@@ -385,7 +384,7 @@ def steady_state_mpmath(params, det, branch, e_in, digits: int = 40):
 
     g = math.sqrt(params.cooperativity * params.kappa * params.gamma)
     delta_2 = det.delta_2(branch)
-    if delta_2 is FAR_DETUNED:
+    if abs(delta_2) == math.inf:
         half_omega, spin = 0.0, 1.0
     else:
         half_omega = 0.5 * params.omega_c

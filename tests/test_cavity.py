@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import sys
 
 import pytest
@@ -16,6 +18,7 @@ from rydcat import (
     min_pulse_duration,
     output_amplitudes,
     reflection_coefficient,
+    solve_steady_state,
 )
 
 ETA = st.floats(min_value=0.5, max_value=1.0)
@@ -71,6 +74,11 @@ class TestCavityParams:
         kwargs = {"eta_esc": 0.9, "cooperativity": 1.0, field: value}
         with pytest.raises(ParameterError, match=field):
             CavityParams(**kwargs)
+
+    def test_overflowing_coupling_strength_is_named(self):
+        # lambda_dn**2 overflows float64 past about 1.34e154.
+        with pytest.raises(ParameterError, match="lambda_dn is too large"):
+            CavityParams.from_coupling_strength(0.9, 12.0, 1e200)
 
     def test_infinite_coupling_strength_names_the_rabi_frequency(self):
         with pytest.raises(ParameterError, match="omega_c must be finite"):
@@ -195,19 +203,48 @@ class TestReflectionCoefficient:
         dn = effective_cooperativity(p, det, QubitBranch.DOWN)
         assert up == dn == pytest.approx(21.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["delta_c", "delta_s", "delta_2_up", "delta_2_dn"])
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, value) for name in ("delta_c", "delta_s")
+         for value in (math.nan, math.inf, -math.inf)]
+        + [("delta_2_up", math.nan), ("delta_2_dn", math.nan)],
+    )
     def test_detunings_must_be_finite(self, name, value):
-        # FAR_DETUNED, not a float infinity, asks for an infinite
-        # two-photon detuning; a NaN or inf would make the reflection
-        # coefficient nan+nanj.
+        # A NaN, or an infinite signal or cavity detuning, would make
+        # the reflection coefficient nan+nanj.  Only a two-photon
+        # detuning may be infinite.
         with pytest.raises(ParameterError, match=name):
             DetuningSet(**{name: value})
 
     @pytest.mark.parametrize("name", ["delta_c", "delta_s"])
     def test_far_detuned_only_for_two_photon_detunings(self, name):
-        with pytest.raises(ParameterError, match=f"{name} must be finite, got FAR_DETUNED"):
+        with pytest.raises(ParameterError, match=f"{name} must be finite, got inf"):
             DetuningSet(**{name: FAR_DETUNED})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["delta_2_up", "delta_2_dn"])
+    def test_infinite_delta_2_is_far_detuned(self, name, value):
+        # sha256 of the responses and steady states with both two-photon
+        # detunings at the far-detuned sentinel object that FAR_DETUNED
+        # was before it became math.inf; an infinity of either sign keeps
+        # every bit.
+        digest = hashlib.sha256()
+        for params in (headline_params(),
+                       CavityParams(0.7, 3.5, kappa=2.0, gamma=0.5, omega_c=4.0,
+                                    gamma_rg=0.3)):
+            for det_kw in ({}, {"delta_c": 0.3, "delta_s": -0.2}):
+                det = DetuningSet(**{"delta_2_up": FAR_DETUNED,
+                                     "delta_2_dn": FAR_DETUNED, name: value},
+                                  **det_kw)
+                for branch in QubitBranch:
+                    ss = solve_steady_state(params, det, branch, 0.8 + 0.1j)
+                    for z in (effective_cooperativity(params, det, branch),
+                              reflection_coefficient(params, det, branch),
+                              ss.e_cav, ss.p_medium, ss.s_spinwave, ss.e_out,
+                              ss.e_mirror):
+                        digest.update(struct.pack("<2d", z.real, z.imag))
+        assert digest.hexdigest() == (
+            "44498cae724b7aed621ef3eec219a628f202c821e9d443cacd30da872c47faf0")
 
     @given(eta=ETA, coop=COOP, lam=LAM, dc=DETUNING, ds=DETUNING, d2=DETUNING)
     def test_reflection_is_passive(self, eta, coop, lam, dc, ds, d2):

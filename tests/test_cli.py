@@ -213,6 +213,12 @@ class TestExitCodes:
         (["figure4", "--n-grid", "3,4,3"], "repeats the atom number 3"),
         (["figure3", "--projections", "2"], "projection must be in [0, 1]"),
         (["figure3", "--projections", "0,1.5"], "projection must be in [0, 1]"),
+        (["headline", "--lambda-inf", "--cooperativity", "0"],
+         "loss budget needs cooperativity > 0"),
+        (["amplitudes", "--lambda-dn", "1e200"], "lambda_dn is too large"),
+        (["mc", "--n-runs", "100000000000000000000"],
+         "run counts must fit in 32 bits"),
+        (["figure4", "--runs-budget", "1e30"], "run counts must fit in 32 bits"),
     ])
     def test_out_of_range_value_is_one_line(self, capsys, argv, message):
         assert cli.main(argv) == 2

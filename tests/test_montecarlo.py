@@ -78,6 +78,7 @@ class TestConfig:
             dict(direction=(0.0, 1.0)),
             dict(direction=(0.0, 0.0, 0.0)),
             dict(direction=(1e200, 1e200, 0.0)),
+            dict(n_runs=2**32),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -207,6 +208,12 @@ class TestPowerLawStudy:
         for grid in ([3, 4.5], [3.0, 4], np.array([3.0, 4.0])):
             with pytest.raises(ParameterError):
                 power_law_study(cfg, n_grid=grid, runs_budget=50.0)
+
+    def test_rejects_runs_past_the_stream_key(self):
+        # 2**32 runs at N = 3 would reach the streams of N = 4.
+        with pytest.raises(ParameterError, match="run counts must fit in 32 bits"):
+            power_law_study(MonteCarloConfig(seed=0), n_grid=[3, 4],
+                            runs_budget=9.0 * 2**32)
 
     @pytest.mark.parametrize("grid", [[3, 3], [3, 4, 3]])
     def test_rejects_repeated_atom_number(self, grid):

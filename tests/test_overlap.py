@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,26 @@ class TestPolarization:
     def test_linear_has_full_self_overlap(self):
         assert Polarization.linear().self_overlap == pytest.approx(1.0, abs=1e-15)
         assert Polarization.linear((0, 1, 0)).self_overlap == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("size", [1e-170, 1e200])
+    def test_linear_axis_of_any_finite_size(self, size):
+        # axis . axis underflows at 1e-170 and overflows at 1e200; the
+        # axis is rescaled first, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pol = Polarization.linear((size, size, 0.0))
+        assert pol.jones.tobytes() == Polarization.linear((1.0, 1.0, 0.0)).jones.tobytes()
+
+    @pytest.mark.parametrize("axis, message", [
+        ((0.0, 0.0, 0.0), "cannot be zero"),
+        ((math.inf, 0.0, 0.0), "must be finite"),
+        ((0.0, math.nan, 0.0), "must be finite"),
+    ])
+    def test_linear_rejects_degenerate_axis(self, axis, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=message):
+                Polarization.linear(axis)
 
     def test_rejects_unnormalized_jones(self):
         with pytest.raises(ParameterError):
