@@ -210,8 +210,21 @@ def _a_mode(e: float, c: float, lam: float) -> float:
     return 2.0 * e * c * lam / ((1.0 + c) * (_sq(lam) + c))
 
 
-def _l_gen_closed(e: float, c: float, lam: float) -> float:
-    return 1.0 - _eta(e, c) * _sq(lam + 1.0) / (_sq(lam) + c)
+def _kept(e: float, c: float, lam: float) -> float:
+    # 1 - l_gen, without the cancellation of forming it from l_gen ~ 1.
+    return _eta(e, c) * _sq(lam + 1.0) / (_sq(lam) + c)
+
+
+def _l_gen_odds(params: CavityParams, l_gen: float) -> float:
+    """``l_gen / (1 - l_gen)``; above 1/2, from the closed form of ``1 - l_gen``."""
+    if l_gen <= 0.5:
+        return l_gen / (1.0 - l_gen)
+    kept = _kept(params.eta_esc, params.cooperativity,
+                 lambda_factor(params, QubitBranch.DOWN))
+    odds = (1.0 - kept) / kept if kept else math.inf
+    if odds == math.inf:
+        raise ParameterError("l_gen / (1 - l_gen) overflows: eta_esc * cooperativity too small")
+    return odds
 
 
 def _budget(e: float, c: float, lam, b_mode: float = 0.0) -> dict:
@@ -223,13 +236,15 @@ def _budget(e: float, c: float, lam, b_mode: float = 0.0) -> dict:
     l_mode = a_mode * b_mode
     l_ell = l_a + l_m + l_mode
     survival = 1.0 - l_cav + l_ell
-    # Removable 0/0 at lam = 1 with no mode mismatch; use the limit.
+    # Removable 0/0 at lam = 1 with no mode mismatch; use the limit,
+    # which rounds an ulp below 0 at eta_esc = 1 and c within an ulp of 1.
     if not isinstance(lam, (int, float)):
         import numpy as np
 
-        l_gen = np.where(survival == 0.0, _l_gen_closed(e, c, lam), l_ell / survival)
+        l_gen = np.where(survival == 0.0, np.maximum(1.0 - _kept(e, c, lam), 0.0),
+                         l_ell / survival)
     elif survival == 0.0:
-        l_gen = _l_gen_closed(e, c, lam)
+        l_gen = max(1.0 - _kept(e, c, lam), 0.0)
     else:
         l_gen = l_ell / survival
     return {"l_cav": l_cav, "l_a": l_a, "l_m": l_m, "l_mode": l_mode,
@@ -293,13 +308,12 @@ def max_photon_number(params: CavityParams, visibility_ratio: float) -> float:
         raise ParameterError(
             f"visibility_ratio must be in (0, 1), got {visibility_ratio!r}"
         )
-    lam = optimal_lambda(params)
-    l_gen = _l_gen_closed(params.eta_esc, params.cooperativity, lam)
-    if l_gen == 0.0:
+    kept = _kept(params.eta_esc, params.cooperativity, optimal_lambda(params))
+    if kept >= 1.0:
         raise ParameterError(
             "generation loss vanishes at eta_esc = 1: photon number unbounded"
         )
-    return -math.log(visibility_ratio) * (1.0 - l_gen) / (2.0 * l_gen)
+    return -math.log(visibility_ratio) * kept / (2.0 * (1.0 - kept))
 
 
 def sweep_loss_vs_coupling(

@@ -178,11 +178,17 @@ def _emit(
         for name, block in (("columns", columns), ("results", results), ("fit", fit)):
             if block is not None:
                 payload[name] = _jsonable(block)
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload)
     _write(args.out, text)
     if fit is not None and args.fit_out:
-        payload = {"meta": _meta(args), "fit": _jsonable(fit)}
-        _write(args.fit_out, json.dumps(payload, indent=2) + "\n")
+        _write(args.fit_out, _json({"meta": _meta(args), "fit": _jsonable(fit)}))
+
+
+def _json(payload: dict) -> str:
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # RFC 8259 has no NaN or Infinity
+        raise NumericalError("a result is NaN or infinite, which JSON cannot hold") from None
 
 
 def cmd_amplitudes(args) -> None:
@@ -256,11 +262,10 @@ def cmd_figure4(args) -> None:
 
 def cmd_headline(args) -> None:
     from . import CavityParams, loss_budget, max_photon_number, optimal_lambda
+    from .catstate import _budget_lambda_inf, _l_gen_odds
 
     cavity = CavityParams(args.eta_esc, args.cooperativity)
     if args.lambda_inf:
-        from .catstate import _budget_lambda_inf
-
         _emit(args, results=_budget_lambda_inf(cavity))
         return
     lambda_opt = optimal_lambda(cavity)
@@ -278,7 +283,7 @@ def cmd_headline(args) -> None:
         "l_cav": budget.l_cav,
         "alpha_out_sq_at_ratio": alpha_sq,
         "a_mode": budget.a_mode,
-        "l_gen_ratio": budget.l_gen / (1.0 - budget.l_gen),
+        "l_gen_ratio": _l_gen_odds(params, budget.l_gen),
     }
     _emit(args, results=results)
 

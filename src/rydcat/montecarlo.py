@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, _integer
+from .errors import NumericalError, ParameterError, _integer
 from .overlap import (
     Polarization,
     _cloud_widths,
@@ -133,8 +133,8 @@ def _sample_group(
     k_in: np.ndarray,
     streams: range,
     store: np.ndarray | None = None,
-):
-    """Per-run b, c, s12 and s12_sq of the runs keyed by ``streams``."""
+) -> dict:
+    """Record of per-run b, c_up_dn, s12 and s12_sq of the runs keyed by ``streams``."""
     try:
         bitgen = np.random.Philox(0)
         gen = np.random.Generator(bitgen)
@@ -143,34 +143,17 @@ def _sample_group(
             bitgen.state = _stream_state(config.seed, stream)
             gen.standard_normal(out=cloud)
         positions *= config.effective_sigmas
-        c, b, s12, s12_sq, _ = collective_pairs(
-            positions, k_in, config.polarization.jones, store
-        )
+        record = collective_pairs(positions, k_in, config.polarization.jones, store)
     except MemoryError as exc:
         raise _out_of_memory(config, streams, exc) from None
-    return b, c, s12, s12_sq
+    del record["per_atom"]  # not a result, so no worker pickles it
+    return record
 
 
 def _out_of_memory(config: MonteCarloConfig, streams: range, exc) -> MemoryError:
     return MemoryError(
         f"runs of {config.n_atoms} atoms ({len(streams)} per group): {exc}"
     )
-
-
-def _groups(config: MonteCarloConfig, first_stream: int) -> list[tuple]:
-    """``_sample_group`` arguments of ``config.n_runs`` runs, in run order.
-
-    Run i draws its cloud from the Philox stream keyed by (seed,
-    first_stream + i), and the runs are cut into groups of
-    ``overlap.group_clouds`` clouds.
-    """
-    per_group = group_clouds(config.n_atoms)
-    streams = range(first_stream, first_stream + config.n_runs)
-    k_in = incident_wavevector(config.wavelength, config.direction)
-    return [
-        (config, k_in, streams[i:i + per_group])
-        for i in range(0, len(streams), per_group)
-    ]
 
 
 def _spans(work: list[int], workers: int) -> list[range]:
@@ -188,7 +171,7 @@ def _spans(work: list[int], workers: int) -> list[range]:
     return [range(own[0], own[-1] + 1) for own in owners if own]
 
 
-def _evaluate(groups: list[tuple], span: range) -> list[tuple]:
+def _evaluate(groups: list[tuple], span: range) -> list[dict]:
     """``_sample_group`` of each group of ``span``, in one reused store.
 
     The store of pair rectangles is sized to the span's largest group.
@@ -204,24 +187,7 @@ def _evaluate(groups: list[tuple], span: range) -> list[tuple]:
     return [_sample_group(*groups[i], store) for i in span]
 
 
-def _run_groups(groups: list[tuple], workers: int) -> list[tuple]:
-    """``_sample_group`` of each group, in order, over up to ``workers`` processes."""
-    work = [
-        len(streams) * (config.n_atoms * (config.n_atoms - 1) // 2 + _RUN_COST)
-        for config, _, streams in groups
-    ]
-    spans = [range(len(groups))]
-    if workers > 1 and _CAN_FORK and sum(work) >= _FORK_MIN_WORK:
-        # A child forked beside another Python thread may inherit a lock
-        # that thread holds, and wait on it for ever.
-        if threading.active_count() == 1:
-            spans = _spans(work, min(workers, len(groups)))
-    if len(spans) == 1:
-        return _evaluate(groups, spans[0])
-    return _forked(groups, spans)
-
-
-def _forked(groups: list[tuple], spans: list[range]) -> list[tuple]:
+def _forked(groups: list[tuple], spans: list[range]) -> list[dict]:
     """Evaluate the first span here and each other span in a forked child.
 
     A child pickles its span's results, or the exception of its first
@@ -266,7 +232,7 @@ def _fork_span(groups: list[tuple], span: range) -> tuple[int, int]:
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns that forking a process with threads may
-            # deadlock the child.  ``_run_groups`` forks only when Python
+            # deadlock the child.  ``_sample_runs`` forks only when Python
             # runs no other thread; the threads it cannot see are native
             # pools such as OpenBLAS's, which OpenBLAS resets in the child.
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -298,17 +264,36 @@ def _fork_span(groups: list[tuple], span: range) -> tuple[int, int]:
         os._exit(status)
 
 
-def _sample_runs(config: MonteCarloConfig, first_stream: int = 0):
-    """Per-run b, c, s12 and s12_sq of ``config.n_runs`` clouds.
+def _sample_runs(points: list[tuple[MonteCarloConfig, int]]) -> list[dict]:
+    """Record of per-run b, c_up_dn, s12 and s12_sq of each point.
 
-    Run i draws its cloud from the Philox stream keyed by (seed,
-    first_stream + i).  The runs are reduced in groups of
-    ``overlap.group_clouds`` clouds, shared over ``config``'s workers.
-    A run's numbers depend on its key alone, never on the clouds it
-    shares a tile or a group with, nor on the process that runs it.
+    A point ``(config, first_stream)`` holds ``config.n_runs`` runs, run i
+    drawn from the Philox stream keyed by (seed, first_stream + i).  The
+    groups of ``overlap.group_clouds`` clouds of every point form one
+    list, shared over the first point's workers, so a scan forks once.
+    A run's numbers depend on its key alone, never on its tile, its
+    group or the process that runs it.
     """
-    parts = _run_groups(_groups(config, first_stream), config.resolve_workers())
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    groups, ends = [], []
+    for config, first_stream in points:
+        per_group = group_clouds(config.n_atoms)
+        streams = range(first_stream, first_stream + config.n_runs)
+        k_in = incident_wavevector(config.wavelength, config.direction)
+        groups += [(config, k_in, streams[i:i + per_group])
+                   for i in range(0, len(streams), per_group)]
+        ends.append(len(groups))
+    work = [len(streams) * (config.n_atoms * (config.n_atoms - 1) // 2 + _RUN_COST)
+            for config, _, streams in groups]
+    workers = min(points[0][0].resolve_workers(), len(groups))
+    # A child forked beside another Python thread may inherit a lock that
+    # thread holds, and wait on it for ever.
+    if (workers > 1 and _CAN_FORK and sum(work) >= _FORK_MIN_WORK
+            and threading.active_count() == 1):
+        parts = _forked(groups, _spans(work, workers))
+    else:
+        parts = _evaluate(groups, range(len(groups)))
+    return [{name: np.concatenate([part[name] for part in parts[start:end]])
+             for name in parts[0]} for start, end in zip([0, *ends], ends)]
 
 
 def _sem(values: np.ndarray) -> float:
@@ -360,6 +345,8 @@ class MonteCarloResult:
     @property
     def rms_sem(self) -> float:
         # Delta method through the square root.
+        if self.rms == 0.0:
+            raise NumericalError("rms pair overlap underflows to 0: no standard error")
         return _sem(self.s12_sq) / (2.0 * self.rms)
 
     def summary(self) -> dict[str, float]:
@@ -380,8 +367,8 @@ class MonteCarloResult:
 
 def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     """Sample the configured ensemble and collect per-run observables."""
-    b, c, s12, s12_sq = _sample_runs(config)
-    return MonteCarloResult(config=config, b=b, c_up_dn=c, s12=s12, s12_sq=s12_sq)
+    (record,) = _sample_runs([(config, 0)])
+    return MonteCarloResult(config=config, **record)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,11 +404,11 @@ def power_law_study(
     equalizes the relative error across the grid since the per-run
     spread of the mismatch shrinks with N.  Streams are keyed by
     (seed, N, run), so different grid points never share draws; each N
-    may appear once.
+    may appear once, and must be at least 3: two atoms never mismatch.
     """
     if n_grid is None:
         n_grid = range(3, 31)
-    n_values = [_integer("each atom number", n, minimum=2) for n in n_grid]
+    n_values = [_integer("each atom number", n, minimum=3) for n in n_grid]
     if len(n_values) < 2:
         raise ParameterError("n_grid must contain at least two atom numbers")
     for i, n in enumerate(n_values):
@@ -433,21 +420,12 @@ def power_law_study(
     if not 0.0 < runs_budget < np.inf:
         raise ParameterError(f"runs_budget must be finite and > 0, got {runs_budget!r}")
     runs = np.array([max(2, round(runs_budget / n**2)) for n in n_values])
-    # Every group of every atom number in one list, so that a scan
-    # forks its workers once.
-    points = [
-        _groups(replace(config, n_atoms=n, n_runs=int(n_runs)), n << 32)
+    b = [point["b"] for point in _sample_runs([
+        (replace(config, n_atoms=n, n_runs=int(n_runs)), n << 32)
         for n, n_runs in zip(n_values, runs)
-    ]
-    parts = iter(_run_groups(
-        [group for point in points for group in point], config.resolve_workers()
-    ))
-    b_mean = np.empty(len(n_values))
-    b_sem = np.empty(len(n_values))
-    for i, point in enumerate(points):
-        b = np.concatenate([next(parts)[0] for _ in point])
-        b_mean[i] = b.mean()
-        b_sem[i] = _sem(b)
+    ])]
+    b_mean = np.array([point.mean() for point in b])
+    b_sem = np.array([_sem(point) for point in b])
     n_arr = np.array(n_values, dtype=float)
     design = n_arr**-3
     weight = 1.0 / b_sem**2

@@ -525,9 +525,9 @@ def _branch_overlap(row, quadratic):
 
     ``row`` (R, N) holds each matrix's complex row sums and
     ``quadratic(eps)`` returns eps^T Re(S) eps for each member of a real
-    (R, N) ``eps``.  Returns the overlaps ``c_up_dn`` (R,), the mismatches
-    ``b_up_dn`` (R,) and the punctured-mode normalizations ``per_atom``
-    (R, N).
+    (R, N) ``eps``.  Returns a record of the overlaps ``c_up_dn`` (R,),
+    the mismatches ``b`` (R,) and the punctured-mode normalizations
+    ``per_atom`` (R, N).
 
     The transparent branch radiates the fully symmetric collective mode,
     of norm n_dn = 1^T S 1.  In the blockaded branch the excited atom
@@ -584,7 +584,7 @@ def _branch_overlap(row, quadratic):
     over = ~(mod <= 1.0 + 1e-9)
     if np.any(over):
         _check_overlap_magnitude(complex(c[np.argmax(over)]))
-    return c, b, per_atom
+    return {"b": b, "c_up_dn": c, "per_atom": per_atom}
 
 
 def store_cells(n_atoms: int, clouds: int) -> int:
@@ -600,9 +600,10 @@ def collective_pairs(
 ):
     """Branch overlaps and pair moments of stacked clouds, from their pairs.
 
-    ``positions`` has shape (R, N, 3).  Returns ``c_up_dn``, ``b_up_dn``,
-    the mean pair overlap and the mean squared pair magnitude, each (R,),
-    and the punctured-mode normalizations ``per_atom`` (R, N).
+    ``positions`` has shape (R, N, 3).  Returns a record of ``b``,
+    ``c_up_dn``, the mean pair overlap ``s12`` and the mean squared pair
+    magnitude ``s12_sq``, each (R,), and the punctured-mode
+    normalizations ``per_atom`` (R, N).
 
     A pair's overlap is s_ij = e_i K_ij conj(e_j), with K the real kernel
     and e = exp(-i k.x) the drive phase, so the phase stays with the
@@ -672,9 +673,9 @@ def collective_pairs(
         rows *= v
         return (eps * eps).sum(axis=1) + 2.0 * rows.reshape(r, -1).sum(axis=1)
 
-    c, b, per_atom = _branch_overlap(row, quadratic)
     count = n * (n - 1) // 2
-    return c, b, pair_sum / count, total_sq / count, per_atom
+    return {**_branch_overlap(row, quadratic),
+            "s12": pair_sum / count, "s12_sq": total_sq / count}
 
 
 def collective_from_matrix(matrix: OverlapMatrix) -> CollectiveOverlap:
@@ -691,10 +692,9 @@ def collective_from_matrix(matrix: OverlapMatrix) -> CollectiveOverlap:
     def quadratic(eps):
         return (eps[:, None, :] @ s.real @ eps[:, :, None])[:, 0, 0]
 
-    c, b, per_atom = _branch_overlap(s.sum(axis=2), quadratic)
-    return CollectiveOverlap(
-        c_up_dn=complex(c[0]), b_up_dn=float(b[0]), per_atom=per_atom[0]
-    )
+    record = _branch_overlap(s.sum(axis=2), quadratic)
+    return CollectiveOverlap(c_up_dn=complex(record["c_up_dn"][0]),
+                             b_up_dn=float(record["b"][0]), per_atom=record["per_atom"][0])
 
 
 def collective_overlap(
@@ -704,12 +704,9 @@ def collective_overlap(
 
     The one-cloud case of ``collective_pairs``; no N x N matrix is formed.
     """
-    c, b, _, _, per_atom = collective_pairs(
-        cloud.positions[None], cloud.k_in, polarization.jones
-    )
-    return CollectiveOverlap(
-        c_up_dn=complex(c[0]), b_up_dn=float(b[0]), per_atom=per_atom[0]
-    )
+    record = collective_pairs(cloud.positions[None], cloud.k_in, polarization.jones)
+    return CollectiveOverlap(c_up_dn=complex(record["c_up_dn"][0]),
+                             b_up_dn=float(record["b"][0]), per_atom=record["per_atom"][0])
 
 
 def pair_statistics(matrix: OverlapMatrix) -> tuple[complex, float]:

@@ -156,6 +156,9 @@ def convergence_study(cavity: CavityParams, finesse_grid) -> ConvergenceStudy:
     grid = np.asarray(finesse_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ParameterError("finesse_grid must have at least two values")
+    values, counts = np.unique(grid, return_counts=True)
+    if counts.max() > 1:
+        raise ParameterError(f"finesse_grid repeats the finesse {float(values[counts.argmax()])!r}")
     det = DetuningSet.resonant()
     errors = np.empty_like(grid)
     # Python floats: a numpy scalar would warn where a float overflows.
@@ -172,5 +175,7 @@ def convergence_study(cavity: CavityParams, finesse_grid) -> ConvergenceStudy:
                 abs(fields.m - exact.m),
             )
         errors[i] = worst
+        if not worst > 0.0:
+            raise NumericalError(f"round-trip error is {worst!r} at finesse {finesse!r}: no slope")
     slope = float(np.polyfit(np.log(grid), np.log(errors), 1)[0])
     return ConvergenceStudy(finesse=grid, max_error=errors, slope=slope)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,8 @@ from rydcat import (
     output_amplitudes,
     sweep_loss_vs_coupling,
 )
+from rydcat.cavity import lambda_factor
+from rydcat.catstate import _l_gen_odds
 
 ETA = st.floats(min_value=0.5, max_value=1.0)
 COOP = st.floats(min_value=0.1, max_value=50.0)
@@ -218,6 +221,12 @@ class TestLossBudget:
         budget = loss_budget(CavityParams.from_coupling_strength(eta, coop, lam))
         assert 0.0 <= budget.l_ell <= budget.l_gen <= budget.l_cav <= 1.0
 
+    def test_limit_at_unit_coupling_never_rounds_below_zero(self):
+        # At lam = 1, eta_esc = 1 and c one ulp above 1, 1 - e c (lam + 1)^2
+        # / ((c + 1)(lam^2 + c)) is 1.2e-32 but rounds to -2.2e-16.
+        params = CavityParams.from_coupling_strength(1.0, 1.0000000000000002, 1.0)
+        assert loss_budget(params).l_gen == 0.0
+
     def test_rejects_bad_mode_mismatch(self):
         for b_mode in (-0.1, 2.1):
             with pytest.raises(ParameterError):
@@ -256,6 +265,34 @@ class TestOptimalOperatingPoint:
         n = max_photon_number(params, math.exp(-1.0))
         decay = 2.0 * n * budget.l_gen / (1.0 - budget.l_gen)
         assert math.exp(-decay) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("eta, coop", [
+        (0.9825, 21.0), (0.99, 1.0), (0.6, 3.0), (0.3, 0.5), (1e-10, 21.0),
+        (1e-300, 21.0),
+    ])
+    def test_odds_and_photon_number_match_mpmath(self, eta, coop):
+        # l_gen rounds to 1 below eta_esc ~ 1e-8, so past l_gen = 1/2 both
+        # take 1 - l_gen from its closed form; a 40-digit oracle of it.
+        params = CavityParams.from_coupling_strength(
+            eta, coop, optimal_lambda(CavityParams(eta, coop)))
+        ratio = math.exp(-1.0)
+        with mpmath.workdps(40):
+            e, c, lam, r = map(mpmath.mpf, (params.eta_esc, params.cooperativity,
+                                            lambda_factor(params, QubitBranch.DOWN),
+                                            ratio))
+            kept = e * c / (c + 1) * (lam + 1) ** 2 / (lam**2 + c)
+            odds = float((1 - kept) / kept)
+            photons = float(-mpmath.log(r) * kept / (2 * (1 - kept)))
+        assert _l_gen_odds(params, loss_budget(params).l_gen) == pytest.approx(
+            odds, rel=2e-15, abs=0.0)
+        if kept < 1:
+            assert max_photon_number(params, ratio) == pytest.approx(
+                photons, rel=2e-15, abs=0.0)
+
+    def test_odds_past_float64_refused(self):
+        params = CavityParams(1e-300, 1e-300)
+        with pytest.raises(ParameterError, match="^l_gen / \\(1 - l_gen\\) overflows"):
+            _l_gen_odds(params, loss_budget(params).l_gen)
 
     def test_rejects_out_of_range_ratio(self):
         for ratio in (0.0, 1.0, 1.5):

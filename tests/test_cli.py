@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -210,6 +211,7 @@ class TestExitCodes:
         (["amplitudes", "--alpha-in", "1e200"], "alpha_in is too large"),
         (["amplitudes", "--alpha-in", "1e308+1e308j"], "alpha_in is too large"),
         (["figure4", "--n-grid", "3,3"], "repeats the atom number 3"),
+        (["figure4", "--n-grid", "2,3"], "each atom number must be >= 3, got 2"),
         (["figure4", "--n-grid", "3,4,3"], "repeats the atom number 3"),
         (["figure3", "--projections", "2"], "projection must be in [0, 1]"),
         (["figure3", "--projections", "0,1.5"], "projection must be in [0, 1]"),
@@ -242,6 +244,54 @@ class TestExitCodes:
             cli.main(argv)
         assert exc.value.code == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["xcheck", "--finesse-grid", "1:1:2"], 2,
+         "invalid parameter: finesse_grid repeats the finesse 1.0"),
+        (["xcheck", "--cooperativity", "1.7e308"], 3,
+         "numerical failure: round-trip error is 0.0 at finesse 100.0: no slope"),
+        (["mc", "--n-atoms", "12", "--n-runs", "3", "--sigmas", "1e8,1e150,1e8",
+          "--wavelength", "1e-20"], 3,
+         "numerical failure: rms pair overlap underflows to 0: no standard error"),
+        (["headline", "--eta-esc", "1e-300", "--cooperativity", "1e-300"], 2,
+         "invalid parameter: l_gen / (1 - l_gen) overflows: "
+         "eta_esc * cooperativity too small"),
+    ])
+    def test_degenerate_result_is_one_line(self, capsys, argv, code, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"rydcat: {message}"]
+
+    def test_headline_ratio_where_l_gen_rounds_to_one(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["headline", "--eta-esc", "1e-300"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = dict(line.split(",") for line in captured.out.splitlines()[1:])
+        assert float(results["l_gen_ratio"]) == pytest.approx(1e300, rel=1e-15)
+
+    def test_non_finite_json_value_is_three(self, capsys, monkeypatch):
+        # RFC 8259 has no NaN or Infinity: JSON output refuses them in one
+        # line, where CSV prints them.
+        import rydcat
+
+        monkeypatch.setattr(rydcat, "sweep_loss_vs_coupling",
+                            lambda *args: {"lambda_dn": [1.0], "l_gen": [math.nan]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["figure2", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "rydcat: numerical failure: a result is NaN or infinite, "
+            "which JSON cannot hold"
+        ]
+        assert cli.main(["figure2"]) == 0
+        assert capsys.readouterr().out == "lambda_dn,l_gen\n1,nan\n"
 
     def test_cloud_too_wide_for_float64_is_three(self, capsys):
         # Squared separations (and at 1e300 the drive phase's split of
@@ -280,8 +330,9 @@ class TestExitCodes:
             if where == "parent" or os.getpid() != parent:
                 raise MemoryError("Unable to allocate 9.31 GiB")
             r = positions.shape[0]
-            return (np.ones(r, complex), np.zeros(r), np.zeros(r, complex),
-                    np.zeros(r), None)
+            return {"b": np.zeros(r), "c_up_dn": np.ones(r, complex),
+                    "s12": np.zeros(r, complex), "s12_sq": np.zeros(r),
+                    "per_atom": None}
 
         monkeypatch.setattr(montecarlo, "collective_pairs", no_memory)
         # A forked span's shared store would be sized for the real call.

@@ -162,6 +162,16 @@ class TestObservables:
         ]
         assert all(isinstance(v, float) for v in summary.values())
 
+    def test_rms_underflow_is_a_numerical_failure(self):
+        # The delta method divides by the rms, which a cloud wide against
+        # the wavelength underflows to 0.
+        res = run_monte_carlo(small_config(n_atoms=12, n_runs=3,
+                                           sigmas=(1e8, 1e150, 1e8),
+                                           wavelength=1e-20))
+        assert res.rms == 0.0
+        with pytest.raises(NumericalError, match="^rms pair overlap underflows to 0"):
+            res.rms_sem
+
 
 @pytest.fixture(scope="module")
 def study():
@@ -214,6 +224,11 @@ class TestPowerLawStudy:
         with pytest.raises(ParameterError, match="run counts must fit in 32 bits"):
             power_law_study(MonteCarloConfig(seed=0), n_grid=[3, 4],
                             runs_budget=9.0 * 2**32)
+
+    def test_rejects_two_atoms(self):
+        # b is exactly 0 at N = 2, so its log and its weight are undefined.
+        with pytest.raises(ParameterError, match="^each atom number must be >= 3, got 2$"):
+            power_law_study(MonteCarloConfig(seed=0), n_grid=[2, 3], runs_budget=8.0)
 
     @pytest.mark.parametrize("grid", [[3, 3], [3, 4, 3]])
     def test_rejects_repeated_atom_number(self, grid):
@@ -299,6 +314,15 @@ GEOMETRIES = {
 RUNS = {2: 9, 3: 9, 13: 9, 19: 9, 64: 40, 260: 3}
 
 
+FIELDS = ("b", "c_up_dn", "s12", "s12_sq")
+
+
+def sample_runs(config, first_stream=0):
+    """The per-run record of one campaign."""
+    (record,) = montecarlo._sample_runs([(config, first_stream)])
+    return record
+
+
 def runs_in_campaigns(config, first_stream, size):
     """The runs of ``config`` from separate campaigns of ``size`` runs.
 
@@ -308,10 +332,9 @@ def runs_in_campaigns(config, first_stream, size):
     parts = []
     for start in range(0, config.n_runs, size):
         runs = min(size, config.n_runs - start)
-        got = montecarlo._sample_runs(replace(config, n_runs=max(2, runs)),
-                                      first_stream + start)
-        parts.append([field[:runs] for field in got])
-    return tuple(np.concatenate(field) for field in zip(*parts))
+        got = sample_runs(replace(config, n_runs=max(2, runs)), first_stream + start)
+        parts.append({name: got[name][:runs] for name in FIELDS})
+    return {name: np.concatenate([part[name] for part in parts]) for name in FIELDS}
 
 
 @pytest.mark.parametrize("first_stream", [1, 1 << 16, 10**6])
@@ -326,15 +349,14 @@ def test_runs_bit_identical_to_per_run_path(geometry, n, first_stream):
                               **GEOMETRIES[geometry])
     alone = runs_in_campaigns(config, first_stream, 1)
     for workers in (1, 2, 4):
-        got = montecarlo._sample_runs(replace(config, workers=workers),
-                                      first_stream)
-        for field, expect in zip(got, alone):
-            assert field.tobytes() == expect.tobytes()
+        got = sample_runs(replace(config, workers=workers), first_stream)
+        for name in FIELDS:
+            assert got[name].tobytes() == alone[name].tobytes()
     if first_stream == 1:
         res = run_monte_carlo(config)
-        got = (res.b, res.c_up_dn, res.s12, res.s12_sq)
-        for field, expect in zip(got, montecarlo._sample_runs(config)):
-            assert field.tobytes() == expect.tobytes()
+        expect = sample_runs(config)
+        for name in FIELDS:
+            assert getattr(res, name).tobytes() == expect[name].tobytes()
 
 
 def test_lone_pair_tile_bit_identical_to_per_run_path():
@@ -343,8 +365,9 @@ def test_lone_pair_tile_bit_identical_to_per_run_path():
     # of the same run evaluated alone, in a tile shared with another.
     config = MonteCarloConfig(n_atoms=2, n_runs=4097, seed=5)
     alone = runs_in_campaigns(config, 1, 1)
-    for field, expect in zip(montecarlo._sample_runs(config, 1), alone):
-        assert field.tobytes() == expect.tobytes()
+    got = sample_runs(config, 1)
+    for name in FIELDS:
+        assert got[name].tobytes() == alone[name].tobytes()
 
 
 @pytest.mark.parametrize("n, runs, groups", [
@@ -367,8 +390,7 @@ def test_runs_reduced_in_groups(monkeypatch, n, runs, groups):
     monkeypatch.setattr(montecarlo, "collective_pairs", counted)
     # One process, so that RYDCAT_WORKERS cannot move groups into a
     # child, where the counter would not see them.
-    montecarlo._sample_runs(MonteCarloConfig(n_atoms=n, n_runs=runs, seed=5,
-                                             workers=1))
+    sample_runs(MonteCarloConfig(n_atoms=n, n_runs=runs, seed=5, workers=1))
     assert sizes == groups
 
 
@@ -466,11 +488,14 @@ def test_shared_store_gives_the_same_bits():
     # A store reused across groups, here one left full of NaN, is zeroed
     # where the call needs it.
     config = MonteCarloConfig(n_atoms=30, n_runs=8, seed=5)
-    (group,) = montecarlo._groups(config, 0)
+    group = (config, montecarlo.incident_wavevector(0.78, (0.0, 0.0, -1.0)),
+             range(8))
     alone = montecarlo._sample_group(*group)
     store = np.full(montecarlo.store_cells(30, 8) + 7, np.nan)
     shared = montecarlo._sample_group(*group, store)
-    assert [f.tobytes() for f in shared] == [f.tobytes() for f in alone]
+    assert shared.keys() == alone.keys() == set(FIELDS)
+    assert ([shared[name].tobytes() for name in FIELDS]
+            == [alone[name].tobytes() for name in FIELDS])
 
 
 @pytest.mark.parametrize("work, workers, sizes", [
@@ -565,7 +590,8 @@ def test_mismatch_agrees_with_old_reduction(geometry, n):
     # reduction in long double, and within 2**-60 of the latter.
     config = MonteCarloConfig(n_atoms=n, n_runs=12, seed=5,
                               **GEOMETRIES[geometry])
-    b, c, s12, s12_sq = montecarlo._sample_runs(config)
+    run = sample_runs(config)
+    b, c, s12, s12_sq = (run[name] for name in FIELDS)
     old_b, old_c, old_s12, old_s12_sq, _ = reference_runs(config)
     keys = [np.array([config.seed, run], dtype=np.uint64)
             for run in range(config.n_runs)]
@@ -661,7 +687,7 @@ def test_power_law_bit_identical_to_per_run_path(reference_scan, campaign,
     runs_b = [
         runs_in_campaigns(
             replace(config, n_atoms=n, n_runs=max(2, round(2e4 / n**2))),
-            n << 32, campaign)[0]
+            n << 32, campaign)["b"]
         for n in (3, 4)
     ]
     study = power_law_study(config, n_grid=[3, 4], runs_budget=2e4)

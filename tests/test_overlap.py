@@ -524,7 +524,8 @@ class TestCollectiveStack:
 
     def test_members_reduce_as_alone(self):
         stack = np.stack([self.good(seed) for seed in range(4)])
-        c, b, per_atom = self.reduce(stack)
+        record = self.reduce(stack)
+        c, b, per_atom = (record[name] for name in ("c_up_dn", "b", "per_atom"))
         for i, s in enumerate(stack):
             alone = collective_from_matrix(OverlapMatrix(s=s))
             assert c[i] == alone.c_up_dn
@@ -550,8 +551,9 @@ class TestPairListReduction:
         clouds = self.clouds(n, 3, n)
         positions = np.stack([cloud.positions for cloud in clouds])
         k_in = clouds[0].k_in
-        c, b, mean, mean_sq, per_atom = collective_pairs(positions, k_in,
-                                                         self.POL.jones)
+        record = collective_pairs(positions, k_in, self.POL.jones)
+        c, b, mean, mean_sq, per_atom = (
+            record[name] for name in ("c_up_dn", "b", "s12", "s12_sq", "per_atom"))
         assert np.array_equal(c.real, 1.0 - b)
         iu, ju = np.triu_indices(n, k=1)
         for m, cloud in enumerate(clouds):
@@ -573,7 +575,7 @@ class TestPairListReduction:
         expect = float(branch_mismatch_longdouble(matrix.s))
         dense = collective_from_matrix(matrix)
         b = collective_pairs(cloud.positions[None], cloud.k_in,
-                             self.POL.jones)[1][0]
+                             self.POL.jones)["b"][0]
         # Both stay within ~1e-15; a blockaded-mode deviation formed as a
         # difference of inverse norms, not from row-sum differences,
         # lands near 1.5e-14.

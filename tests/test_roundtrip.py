@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from rydcat import (
     CavityParams,
     DetuningSet,
+    NumericalError,
     ParameterError,
     QubitBranch,
     RoundTripParams,
@@ -259,3 +260,17 @@ class TestConvergence:
     def test_rejects_single_point_grid(self):
         with pytest.raises(ParameterError):
             convergence_study(headline_cavity(), [100.0])
+
+    @pytest.mark.parametrize("grid", [[1.0, 1.0], [1e2, 1e4, 1e2]])
+    def test_rejects_repeated_finesse(self, grid):
+        # Two equal abscissae leave the log-log fit without a slope.
+        with pytest.raises(ParameterError, match="^finesse_grid repeats the finesse"):
+            convergence_study(headline_cavity(), grid)
+
+    def test_zero_error_is_a_numerical_failure(self):
+        # At cooperativity 1.7e308 the model and the closed forms agree
+        # to the last bit, and log(0) has no slope.
+        cavity = CavityParams.from_coupling_strength(0.9825, 1.7e308, 21.0)
+        with pytest.raises(NumericalError,
+                           match=r"^round-trip error is 0\.0 at finesse 100\.0"):
+            convergence_study(cavity, [1e2, 1e4])
