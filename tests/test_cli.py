@@ -211,7 +211,6 @@ class TestExitCodes:
         (["amplitudes", "--alpha-in", "1e200"], "alpha_in is too large"),
         (["amplitudes", "--alpha-in", "1e308+1e308j"], "alpha_in is too large"),
         (["figure4", "--n-grid", "3,3"], "repeats the atom number 3"),
-        (["figure4", "--n-grid", "2,3"], "each atom number must be >= 3, got 2"),
         (["figure4", "--n-grid", "3,4,3"], "repeats the atom number 3"),
         (["figure3", "--projections", "2"], "projection must be in [0, 1]"),
         (["figure3", "--projections", "0,1.5"], "projection must be in [0, 1]"),
@@ -221,6 +220,7 @@ class TestExitCodes:
         (["mc", "--n-runs", "100000000000000000000"],
          "run counts must fit in 32 bits"),
         (["figure4", "--runs-budget", "1e30"], "run counts must fit in 32 bits"),
+        (["figure4", "--n-grid", "2,3"], "each atom number must be >= 3, got 2"),
     ])
     def test_out_of_range_value_is_one_line(self, capsys, argv, message):
         assert cli.main(argv) == 2
