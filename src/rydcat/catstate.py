@@ -308,7 +308,14 @@ def max_photon_number(params: CavityParams, visibility_ratio: float) -> float:
         raise ParameterError(
             f"visibility_ratio must be in (0, 1), got {visibility_ratio!r}"
         )
-    kept = _kept(params.eta_esc, params.cooperativity, optimal_lambda(params))
+    lam = optimal_lambda(params)
+    # At the interior optimum lambda = C the closed form of 1 - l_gen is
+    # eta_esc exactly; _kept would round it, to an ulp below 1 at
+    # eta_esc = 1, and return a finite number for an unbounded one.
+    if lam == params.cooperativity:
+        kept = params.eta_esc
+    else:
+        kept = _kept(params.eta_esc, params.cooperativity, lam)
     if kept >= 1.0:
         raise ParameterError(
             "generation loss vanishes at eta_esc = 1: photon number unbounded"

@@ -2,11 +2,14 @@
 
 Draws Gaussian atom clouds, reduces each to its collective branch
 overlap and pair statistics, and aggregates means with standard errors.
-Each run owns a counter-based generator keyed by (master seed, run
-index), and runs are evaluated together in pair tiles whose arithmetic
-is per run, so results are bit-reproducible for a given seed whatever
-the campaign a run belongs to, and whatever the number of worker
-processes that share its groups of runs.
+A campaign's runs form groups of ``overlap.group_clouds(N)``
+consecutive runs counted from its first stream, and each group draws
+its clouds in one call from a counter-based Philox generator keyed by
+(master seed, stream of its first run).  The runs of a group are then
+evaluated together in pair tiles whose arithmetic is per run, so
+results are bit-reproducible for a given seed whatever the number of
+worker processes that share the groups, and a campaign of n runs is
+the first n runs of a longer one.
 """
 
 from __future__ import annotations
@@ -33,17 +36,19 @@ from .overlap import (
 )
 
 _WORKERS_ENV = "RYDCAT_WORKERS"
-# The estimated work of a run, in atom pairs: its pairs, plus its draw
-# and its share of the reductions, which take about as long as 100 pairs
-# (about 5 us at 50 ns a pair; fitted to timed groups of N = 3 to 260).
-_RUN_COST = 100
+# The estimated work of a run, in atom pairs: its pairs, plus its share
+# of its group's draw and reductions, which take about as long as 24
+# pairs (about 1.1 us at 46 ns a pair; fitted to timed full groups of
+# N = 3 to 260 on a 2-vCPU KVM host).
+_RUN_COST = 24
 # Least estimated work that is split over processes, about 0.1 s of
 # runs.  A guard set by the benchmark rather than by the crossover: in
 # a fresh process two workers beat one from about 2**19 (N = 260, 16
-# runs: 0.84x) and broke even near 2**20 (a scan over N = 3..30, 0.95x),
-# on a 2-vCPU KVM host.  But a process that alternated forked and
-# serial campaigns there ran its serial ones slower, for a cause not
-# found, so the benchmark's scan of about 2**20 stays serial.
+# runs: 0.84x) and broke even for a scan over N = 3..30 (0.95x), on a
+# 2-vCPU KVM host, while each run still drew its own cloud.  But a
+# process that alternated forked and serial campaigns there ran its
+# serial ones slower, for a cause not found, so the benchmark's scan,
+# about 0.4e6 of work, stays serial.
 _FORK_MIN_WORK = 2**21
 # A forked child shares the parent's memory and its cached tile indices,
 # and imports nothing: a fork, exit and reap take 1-4 ms, where a fresh
@@ -67,10 +72,11 @@ class MonteCarloConfig:
     contiguous spans of groups; the calling process evaluates the first
     and a forked child each other.  Elsewhere, for smaller campaigns,
     and while another Python thread runs, every group runs in the
-    calling process.  A run's bits depend on its stream key alone, so
-    results are identical for any worker count.  Each process holds its
-    own store of pair rectangles (about 4 N^2 bytes per cloud of its
-    largest group), so memory grows with the worker count.
+    calling process.  A run's bits depend on its group's stream key and
+    its place in the group alone, so results are identical for any
+    worker count.  Each process holds its own store of pair rectangles
+    (about 4 N^2 bytes per cloud of its largest group), so memory grows
+    with the worker count.
     """
 
     n_atoms: int = 260
@@ -134,14 +140,17 @@ def _sample_group(
     streams: range,
     store: np.ndarray | None = None,
 ) -> dict:
-    """Record of per-run b, c_up_dn, s12 and s12_sq of the runs keyed by ``streams``."""
+    """Record of per-run b, c_up_dn, s12 and s12_sq of the runs of ``streams``.
+
+    The group's clouds are drawn in run order, in one call, from the
+    Philox stream keyed by (seed, ``streams[0]``), so a run's cloud is
+    fixed by that key and its place in the group.
+    """
     try:
         bitgen = np.random.Philox(0)
-        gen = np.random.Generator(bitgen)
-        positions = np.empty((len(streams), config.n_atoms, 3))
-        for cloud, stream in zip(positions, streams):
-            bitgen.state = _stream_state(config.seed, stream)
-            gen.standard_normal(out=cloud)
+        bitgen.state = _stream_state(config.seed, streams[0])
+        positions = np.random.Generator(bitgen).standard_normal(
+            (len(streams), config.n_atoms, 3))
         positions *= config.effective_sigmas
         record = collective_pairs(positions, k_in, config.polarization.jones, store)
     except MemoryError as exc:
@@ -267,12 +276,14 @@ def _fork_span(groups: list[tuple], span: range) -> tuple[int, int]:
 def _sample_runs(points: list[tuple[MonteCarloConfig, int]]) -> list[dict]:
     """Record of per-run b, c_up_dn, s12 and s12_sq of each point.
 
-    A point ``(config, first_stream)`` holds ``config.n_runs`` runs, run i
-    drawn from the Philox stream keyed by (seed, first_stream + i).  The
-    groups of ``overlap.group_clouds`` clouds of every point form one
-    list, shared over the first point's workers, so a scan forks once.
-    A run's numbers depend on its key alone, never on its tile, its
-    group or the process that runs it.
+    A point ``(config, first_stream)`` holds ``config.n_runs`` runs with
+    streams first_stream, first_stream + 1, ..., cut into groups of
+    ``overlap.group_clouds`` runs from the first; each group draws from
+    the Philox stream keyed by (seed, its first run's stream).  The groups
+    of every point form one list, shared over the first point's workers,
+    so a scan forks once.  A run's numbers depend on its group's key and
+    its place in the group alone, never on its tile, the campaign's
+    length or the process that runs it.
     """
     groups, ends = [], []
     for config, first_stream in points:
@@ -402,9 +413,11 @@ def power_law_study(
 
     The run count per point is ``runs_budget / N**2``, which roughly
     equalizes the relative error across the grid since the per-run
-    spread of the mismatch shrinks with N.  Streams are keyed by
-    (seed, N, run), so different grid points never share draws; each N
-    may appear once, and must be at least 3: two atoms never mismatch.
+    spread of the mismatch shrinks with N.  The runs of atom number N
+    have streams N * 2**32 + run, and each group of them draws from the
+    stream of its first run, so different grid points never share draws;
+    each N may appear once, and must be at least 3: two atoms never
+    mismatch.
     """
     if n_grid is None:
         n_grid = range(3, 31)

@@ -387,12 +387,16 @@ def _drive_phase(positions: np.ndarray, k_in: np.ndarray) -> np.ndarray:
     of hi is turned by lo to first order (|lo| <= ulp(hi), so the
     second order is below 1e-24).  A rounded k.x would carry ulp(k.x)
     into every pair: 3e-15 on a close pair at the edge of the reference
-    cloud, 5e-14 on one 100 um from the origin.
+    cloud, 5e-14 on one 100 um from the origin.  Axes the drive does not
+    move along are skipped, as in ``_weighted_sum``: their terms are
+    zeros that could only flip the sign of an exactly-zero k.x.
     """
-    x = np.moveaxis(positions, -1, 0)
-    hi, lo = _two_product(x[0], k_in[0])
-    for axis in (1, 2):
-        p, err = _two_product(x[axis], k_in[axis])
+    first, *rest = [axis for axis in range(3) if k_in[axis]] or [0]
+    # Each axis copied to a contiguous array once, for the dozen passes
+    # of the error-free product.
+    hi, lo = _two_product(np.ascontiguousarray(positions[..., first]), k_in[first])
+    for axis in rest:
+        p, err = _two_product(np.ascontiguousarray(positions[..., axis]), k_in[axis])
         hi, err_sum = _two_sum(hi, p)
         lo = lo + (err_sum + err)
     cos, sin = np.cos(hi), np.sin(hi)

@@ -294,6 +294,15 @@ class TestOptimalOperatingPoint:
         with pytest.raises(ParameterError, match="^l_gen / \\(1 - l_gen\\) overflows"):
             _l_gen_odds(params, loss_budget(params).l_gen)
 
+    @pytest.mark.parametrize("coop", [1e10, 1.0 + 2.0**-52])
+    def test_photon_number_unbounded_at_full_escape(self, coop):
+        # At lambda = C, 1 - l_gen is eta_esc = 1 exactly; rounded
+        # through its closed form it came out an ulp below 1, and the
+        # photon number as about 4.5e15 instead of unbounded.
+        params = CavityParams.from_coupling_strength(1.0, coop, 1.0)
+        with pytest.raises(ParameterError, match="photon number unbounded"):
+            max_photon_number(params, math.exp(-1.0))
+
     def test_rejects_out_of_range_ratio(self):
         for ratio in (0.0, 1.0, 1.5):
             with pytest.raises(ParameterError):

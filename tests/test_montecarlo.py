@@ -19,7 +19,14 @@ from rydcat import (
     run_monte_carlo,
 )
 from rydcat.bessel import j0_stable, j2_stable
-from rydcat.overlap import _drive_phase, legendre_p2, overlap_matrix
+from rydcat.overlap import (
+    _drive_phase,
+    collective_pairs,
+    group_clouds,
+    incident_wavevector,
+    legendre_p2,
+    overlap_matrix,
+)
 
 
 def small_config(**overrides):
@@ -238,21 +245,35 @@ class TestPowerLawStudy:
             power_law_study(MonteCarloConfig(seed=0), n_grid=grid, runs_budget=50.0)
 
 
+def reference_clouds(config, first_stream=0):
+    """The cloud of each run of ``config``, drawn group by group.
+
+    The runs form groups of ``group_clouds(N)`` counted from
+    ``first_stream``, and each group's clouds are drawn in one call from
+    a fresh Philox generator keyed by (seed, the group's first stream).
+    """
+    per_group = group_clouds(config.n_atoms)
+    clouds = []
+    for start in range(0, config.n_runs, per_group):
+        key = np.array([config.seed, first_stream + start], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        shape = (min(per_group, config.n_runs - start), config.n_atoms, 3)
+        clouds.append(rng.standard_normal(shape) * config.effective_sigmas)
+    return np.concatenate(clouds)
+
+
 # The per-run path as it was before runs were stacked and before the
-# branch mismatch was reformulated: a fresh Philox generator, one cloud
-# and one full N x N matrix per run, reduced in Python floats to c and
-# b = 1 - Re c.  That b carries the rounding of c to a few ulp of 1, so
-# it is a reference only where b is large (N <= 30): the package must
-# agree with it to within that error.  Its drive phase is rank 1,
-# e_i conj(e_j) with e = exp(-i k.x) from the package's compensated k.x;
-# ``direct_phase`` instead forms exp(-i k.(x_i - x_j)) per pair, as the
-# kernel did before, which agrees to rounding only.
-def reference_matrix(config, key, direct_phase=False):
-    rng = np.random.Generator(np.random.Philox(key=key))
+# branch mismatch was reformulated: one cloud and one full N x N matrix
+# per run, reduced in Python floats to c and b = 1 - Re c.  That b
+# carries the rounding of c to a few ulp of 1, so it is a reference only
+# where b is large (N <= 30): the package must agree with it to within
+# that error.  Its drive phase is rank 1, e_i conj(e_j) with
+# e = exp(-i k.x) from the package's compensated k.x; ``direct_phase``
+# instead forms exp(-i k.(x_i - x_j)) per pair, as the kernel did
+# before, which agrees to rounding only.
+def reference_matrix(config, pos, direct_phase=False):
     direction = np.asarray(config.direction, dtype=float)
     k_in = 2.0 * np.pi / config.wavelength * direction / np.linalg.norm(direction)
-    pos = rng.normal(0.0, np.asarray(config.effective_sigmas, dtype=float),
-                     size=(config.n_atoms, 3))
     diffs = pos[:, None, :] - pos[None, :, :]
     dist = np.linalg.norm(diffs, axis=-1)
     safe = np.where(dist == 0.0, 1.0, dist)
@@ -273,8 +294,8 @@ def reference_matrix(config, key, direct_phase=False):
     return pos, k_in, s
 
 
-def reference_run(config, key):
-    s = reference_matrix(config, key)[2]
+def reference_run(config, pos):
+    s = reference_matrix(config, pos)[2]
     row = s.sum(axis=1)
     n_dn = float(s.sum().real)
     inv = 1.0 / np.sqrt(n_dn - 2.0 * row.real + 1.0)
@@ -290,11 +311,8 @@ def reference_run(config, key):
 
 
 def reference_runs(config, first_stream=0):
-    rows = [
-        reference_run(config, np.array([config.seed, first_stream + run],
-                                       dtype=np.uint64))
-        for run in range(config.n_runs)
-    ]
+    rows = [reference_run(config, pos)
+            for pos in reference_clouds(config, first_stream)]
     return (np.array([r[0] for r in rows]),
             np.array([r[1] for r in rows], dtype=complex),
             np.array([r[2] for r in rows], dtype=complex),
@@ -323,17 +341,33 @@ def sample_runs(config, first_stream=0):
     return record
 
 
-def runs_in_campaigns(config, first_stream, size):
-    """The runs of ``config`` from separate campaigns of ``size`` runs.
+def first_runs(config, first_stream, runs):
+    """The record of a campaign of ``runs`` runs of ``config``.
 
     A campaign of one run is the first run of a campaign of two, since a
     configuration needs two runs.
     """
-    parts = []
-    for start in range(0, config.n_runs, size):
-        runs = min(size, config.n_runs - start)
-        got = sample_runs(replace(config, n_runs=max(2, runs)), first_stream + start)
-        parts.append({name: got[name][:runs] for name in FIELDS})
+    got = sample_runs(replace(config, n_runs=max(2, runs)), first_stream)
+    return {name: got[name][:runs] for name in FIELDS}
+
+
+def runs_in_campaigns(config, first_stream, groups):
+    """The runs of ``config`` from separate campaigns of ``groups`` groups.
+
+    Each campaign starts on a group boundary, so its groups are those of
+    the whole campaign.
+    """
+    size = groups * group_clouds(config.n_atoms)
+    parts = [first_runs(config, first_stream + start, min(size, config.n_runs - start))
+             for start in range(0, config.n_runs, size)]
+    return {name: np.concatenate([part[name] for part in parts]) for name in FIELDS}
+
+
+def runs_alone(config, first_stream=0):
+    """The record of each run's cloud reduced alone, by its own call."""
+    k_in = incident_wavevector(config.wavelength, config.direction)
+    parts = [collective_pairs(cloud[None], k_in, config.polarization.jones)
+             for cloud in reference_clouds(config, first_stream)]
     return {name: np.concatenate([part[name] for part in parts]) for name in FIELDS}
 
 
@@ -341,17 +375,25 @@ def runs_in_campaigns(config, first_stream, size):
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 @pytest.mark.parametrize("n", sorted(RUNS))
 def test_runs_bit_identical_to_per_run_path(geometry, n, first_stream):
-    # Each run evaluated alone, first in a campaign of its own, against
-    # the same runs in one campaign: a run's bits depend on its stream
-    # key alone, not on the campaign size, its place in a tile or the
-    # worker count.
+    # Each run's cloud reduced alone, and the runs in campaigns of one
+    # group each, against the same runs in one campaign at 1, 2 and 4
+    # workers; and every shorter campaign against its first runs.  A
+    # run's bits depend on its group's stream key and its place in the
+    # group alone, not on the campaign size, its place in a tile or the
+    # worker count.  N = 64 and N = 260 span group boundaries.
     config = MonteCarloConfig(n_atoms=n, n_runs=RUNS[n], seed=5,
                               **GEOMETRIES[geometry])
-    alone = runs_in_campaigns(config, first_stream, 1)
+    alone = runs_alone(config, first_stream)
+    by_group = runs_in_campaigns(config, first_stream, 1)
     for workers in (1, 2, 4):
         got = sample_runs(replace(config, workers=workers), first_stream)
         for name in FIELDS:
             assert got[name].tobytes() == alone[name].tobytes()
+            assert got[name].tobytes() == by_group[name].tobytes()
+    for runs in range(1, config.n_runs):
+        shorter = first_runs(config, first_stream, runs)
+        for name in FIELDS:
+            assert shorter[name].tobytes() == got[name][:runs].tobytes()
     if first_stream == 1:
         res = run_monte_carlo(config)
         expect = sample_runs(config)
@@ -362,12 +404,15 @@ def test_runs_bit_identical_to_per_run_path(geometry, n, first_stream):
 def test_lone_pair_tile_bit_identical_to_per_run_path():
     # A tile holds 4,096 two-atom clouds, so the last run of a campaign
     # of 4,097 has a tile of one pair to itself: its bits must be those
-    # of the same run evaluated alone, in a tile shared with another.
+    # of its cloud reduced alone, and of the same run in a tile shared
+    # with another, the 4,098th.
     config = MonteCarloConfig(n_atoms=2, n_runs=4097, seed=5)
-    alone = runs_in_campaigns(config, 1, 1)
+    alone = runs_alone(config, 1)
+    shared = first_runs(replace(config, n_runs=4098), 1, 4097)
     got = sample_runs(config, 1)
     for name in FIELDS:
         assert got[name].tobytes() == alone[name].tobytes()
+        assert got[name].tobytes() == shared[name].tobytes()
 
 
 @pytest.mark.parametrize("n, runs, groups", [
@@ -392,6 +437,61 @@ def test_runs_reduced_in_groups(monkeypatch, n, runs, groups):
     # child, where the counter would not see them.
     sample_runs(MonteCarloConfig(n_atoms=n, n_runs=runs, seed=5, workers=1))
     assert sizes == groups
+
+
+def test_one_stream_per_group(monkeypatch):
+    # Each group keys one generator; no run keys its own.  One process,
+    # so that no group moves into a child the counter cannot see.
+    keys = []
+    stream_state = montecarlo._stream_state
+
+    def counted(seed, stream):
+        keys.append(stream)
+        return stream_state(seed, stream)
+
+    monkeypatch.setattr(montecarlo, "_stream_state", counted)
+    run_monte_carlo(MonteCarloConfig(n_atoms=64, n_runs=40, workers=1))
+    assert keys == [0, 32]
+    keys.clear()
+    run_monte_carlo(MonteCarloConfig(n_atoms=260, n_runs=3, workers=1))
+    assert keys == [0, 1, 2]
+    keys.clear()
+    # N = 3 holds 18,204 runs in one group, N = 64 its 40 runs in two.
+    power_law_study(MonteCarloConfig(workers=1), [3, 64], 40 * 64**2)
+    assert keys == [3 << 32, 64 << 32, (64 << 32) + 32]
+    keys.clear()
+    power_law_study(MonteCarloConfig(workers=1), range(3, 31), 2e4)
+    assert keys == [n << 32 for n in range(3, 31)]
+
+
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_clouds_drawn_from_the_group_stream(monkeypatch, seed):
+    # The positions each collective_pairs call receives are the group's
+    # clouds drawn at once from a fresh Philox generator keyed by (seed,
+    # the group's first stream), scaled by the widths.
+    seen = []
+    reduce = montecarlo.collective_pairs
+
+    def recorded(positions, *args):
+        seen.append(positions.copy())
+        return reduce(positions, *args)
+
+    monkeypatch.setattr(montecarlo, "collective_pairs", recorded)
+    config = MonteCarloConfig(n_atoms=64, n_runs=40, seed=seed, workers=1,
+                              **GEOMETRIES["oblique"])
+    run_monte_carlo(config)
+    power_law_study(replace(config, isotropic=True), [3, 5], 50.0)
+    iso = replace(config, isotropic=True).effective_sigmas
+    expected = [(config.effective_sigmas, 0, 32, 64),
+                (config.effective_sigmas, 32, 8, 64),
+                (iso, 3 << 32, 6, 3), (iso, 5 << 32, 2, 5)]
+    assert len(seen) == len(expected)
+    for positions, (sigmas, stream, runs, n) in zip(seen, expected):
+        key = np.array([seed, stream], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        draw = rng.standard_normal((runs, n, 3)) * sigmas
+        assert positions.shape == draw.shape
+        assert positions.tobytes() == draw.tobytes()
 
 
 @pytest.fixture
@@ -593,10 +693,8 @@ def test_mismatch_agrees_with_old_reduction(geometry, n):
     run = sample_runs(config)
     b, c, s12, s12_sq = (run[name] for name in FIELDS)
     old_b, old_c, old_s12, old_s12_sq, _ = reference_runs(config)
-    keys = [np.array([config.seed, run], dtype=np.uint64)
-            for run in range(config.n_runs)]
-    long_b = np.array([old_mismatch_longdouble(reference_matrix(config, key)[2])
-                       for key in keys])
+    long_b = np.array([old_mismatch_longdouble(reference_matrix(config, pos)[2])
+                       for pos in reference_clouds(config)])
     old_error = np.abs(old_b - long_b).astype(float)
     assert np.all(np.abs(b - long_b) <= 2.0**-60)
     assert np.all(np.abs(b - old_b) <= old_error + 2.0**-60)
@@ -612,8 +710,8 @@ def test_mismatch_agrees_with_old_reduction(geometry, n):
 def test_pairs_match_direct_phase(geometry, n):
     config = MonteCarloConfig(n_atoms=n, n_runs=2, seed=5,
                               **GEOMETRIES[geometry])
-    key = np.array([config.seed, 0], dtype=np.uint64)
-    pos, k_in, direct = reference_matrix(config, key, direct_phase=True)
+    pos, k_in, direct = reference_matrix(config, reference_clouds(config)[0],
+                                         direct_phase=True)
     matrix = overlap_matrix(AtomCloud(positions=pos, k_in=k_in),
                             config.polarization)
     iu, ju = np.triu_indices(n, k=1)
@@ -642,9 +740,8 @@ def test_traced_peak_memory(n, runs, limit):
 
 @pytest.fixture(scope="module")
 def reference_scan():
-    # N = 3 at budget 2e4 holds runs 402, 1571, 2165 and 2219 of seed 0
-    # (and 592 since the rank-1 phase), where libm's t0**2 and t0*t0
-    # round apart and moved the old b.
+    # N = 3 at budget 2e4 holds run 557 of seed 0, where libm's t0**2
+    # and t0*t0 round apart and moved the old b.
     point = MonteCarloConfig(seed=0, n_atoms=3, n_runs=2222)
     return point, reference_runs(point, first_stream=3 << 32)
 
@@ -653,8 +750,7 @@ def test_pow_sensitive_runs_are_covered(reference_scan):
     # Python floats, as the per-run path squared them; numpy's ``**2``
     # on an array is x*x.
     t0 = reference_scan[1][4].tolist()
-    for run in (402, 1571, 2165, 2219):
-        assert t0[run] ** 2 != t0[run] * t0[run]
+    assert t0[557] ** 2 != t0[557] * t0[557]
 
 
 def fit_power_law(n_grid, runs_b):
@@ -681,8 +777,8 @@ def fit_power_law(n_grid, runs_b):
 def test_power_law_bit_identical_to_per_run_path(reference_scan, campaign,
                                                  workers):
     # The scan's fit from its grid points' runs evaluated in campaigns of
-    # ``campaign`` runs (alone, or all at once), and the N = 3 runs
-    # against the old per-run path within its error.
+    # ``campaign`` groups (one group each, or all at once), and the
+    # N = 3 runs against the old per-run path within its error.
     config = MonteCarloConfig(seed=0, workers=workers)
     runs_b = [
         runs_in_campaigns(

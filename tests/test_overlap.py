@@ -27,9 +27,12 @@ from rydcat.bessel import _TAYLOR_CUTOFF
 from rydcat.overlap import (
     _TILE_PAIRS,
     _branch_overlap,
+    _drive_phase,
     _pair_block,
     _mean_width,
     _row_blocks,
+    _two_product,
+    _two_sum,
     collective_pairs,
     incident_wavevector,
     tile_clouds,
@@ -357,6 +360,36 @@ def test_overlap_matrix_bytes_pinned(n, polarization, digest):
                              np.random.default_rng(n))
     s = overlap_matrix(cloud, pol).s
     assert hashlib.sha256(s.tobytes()).hexdigest() == digest
+
+
+def drive_phase_three_axes(positions, k_in):
+    # _drive_phase as it was before it skipped the drive's zero axes:
+    # every axis, read in place along the last dimension.
+    x = np.moveaxis(positions, -1, 0)
+    hi, lo = _two_product(x[0], k_in[0])
+    for axis in (1, 2):
+        p, err = _two_product(x[axis], k_in[axis])
+        hi, err_sum = _two_sum(hi, p)
+        lo = lo + (err_sum + err)
+    cos, sin = np.cos(hi), np.sin(hi)
+    phase = np.empty(hi.shape, dtype=complex)
+    phase.real = cos - sin * lo
+    phase.imag = -(sin + cos * lo)
+    return phase
+
+
+@pytest.mark.parametrize("direction", [
+    (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (0.3, -0.5, 0.8),
+])
+def test_drive_phase_skips_zero_axes_bit_for_bit(direction):
+    # A zero axis adds only zeros, so skipping it keeps every bit of a
+    # random cloud's phase, for one cloud and a stack.
+    k_in = incident_wavevector(0.78, direction)
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((7, 50, 3)) * (3.3, 4.5, 1.7)
+    for positions in (stack, stack[0], stack + 100.0):
+        assert (_drive_phase(positions, k_in).tobytes()
+                == drive_phase_three_axes(positions, k_in).tobytes())
 
 
 def test_row_blocks_of_a_large_cloud():
